@@ -7,6 +7,9 @@ determinism and honest resource accounting rather than raw speed:
   deterministic pair selection, and hard budgets on reduction steps and
   coefficient size.  Exceeding a budget raises BudgetExceeded; callers
   turn that into an explicit inconclusive outcome, never a silent answer.
+  Each basis element's leading term is computed once, when it joins the
+  basis, and the pending pairs sit in a heap keyed by (grevlex lcm, i, j);
+  division pops its next term from a heap of monomials.
 * zero-dimensionality test and staircase enumeration;
 * minimal polynomial of a variable modulo a zero-dimensional ideal, by
   linear algebra over the staircase basis;
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .polynomials import (
@@ -88,35 +92,48 @@ def _monic(poly: Polynomial) -> Polynomial:
                       {e: Fraction(v) / c for e, v in poly.terms.items()})
 
 
+def _descending_key(exps):
+    """Key whose ascending order is descending grevlex (see grevlex_key)."""
+    return (-sum(exps), exps[::-1])
+
+
 def reduce_poly(poly: Polynomial, basis: list[Polynomial],
-                meter: _Meter | None = None) -> Polynomial:
+                meter: _Meter | None = None, leads: list | None = None) -> Polynomial:
     """Full remainder of poly on division by basis (list order breaks ties).
 
+    `leads`, when given, holds `leading_term(b)` for each b in basis.
     Every eliminated term counts as one step against the meter.
     """
-    lts = [leading_term(b) for b in basis]
+    if leads is None:
+        leads = [leading_term(b) for b in basis]
+    divisors = [(lt[0], lt[1], b.terms) for b, lt in zip(basis, leads) if lt is not None]
     work = dict(poly.terms)
+    heap = [(_descending_key(e), e) for e in work]
+    heapify(heap)
     remainder: dict = {}
-    while work:
-        exps = max(work, key=grevlex_key)
-        coeff = work.pop(exps)
-        hit = None
-        for b, lt in zip(basis, lts):
-            if lt is not None and mono_divides(lt[0], exps):
-                hit = (b, lt)
+    while heap:
+        exps = heappop(heap)[1]
+        # an entry is stale when its term cancelled; every term added below
+        # is smaller than exps, so a popped monomial never comes back
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
+        for lexps, lcoeff, bterms in divisors:
+            if mono_divides(lexps, exps):
                 break
-        if hit is None:
+        else:
             remainder[exps] = coeff
             continue
         if meter is not None:
             meter.tick()
-        b, (lexps, lcoeff) = hit
         q = mono_quotient(exps, lexps)
         factor = Fraction(coeff) / Fraction(lcoeff)
-        for e, c in b.terms.items():
+        for e, c in bterms.items():
             if e == lexps:
                 continue
             target = mono_mul(q, e)
+            if target not in work:
+                heappush(heap, (_descending_key(target), target))
             acc = work.get(target, 0) - factor * c
             if acc:
                 work[target] = acc
@@ -147,59 +164,60 @@ def buchberger(gens: list[Polynomial], budgets: Budgets | None = None) -> list[P
         budgets = Budgets()
     meter = _Meter(budgets)
     basis: list[Polynomial] = []
+    leads: list[tuple] = []
+    pairs: list[tuple] = []
+
+    def append(poly: Polynomial) -> None:
+        lead = leading_term(poly)
+        for t, (other, _) in enumerate(leads):
+            heappush(pairs, (grevlex_key(mono_lcm(lead[0], other)), len(basis), t))
+        basis.append(poly)
+        leads.append(lead)
+
     for g in gens:
         if not g.is_zero():
-            basis.append(_monic(g))
-    if not basis:
-        return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+            append(_monic(g))
     while pairs:
-        def pair_key(p):
-            i, j = p
-            lcm = mono_lcm(leading_term(basis[i])[0], leading_term(basis[j])[0])
-            return (grevlex_key(lcm), i, j)
-        best = min(pairs, key=pair_key)
-        pairs.discard(best)
-        i, j = best
+        _, i, j = heappop(pairs)
         fi, fj = basis[i], basis[j]
-        (ei, _), (ej, _) = leading_term(fi), leading_term(fj)
-        lcm = mono_lcm(ei, ej)
+        ei, ej = leads[i][0], leads[j][0]
         # coprime leads never produce a new element
-        if lcm == mono_mul(ei, ej):
+        if mono_lcm(ei, ej) == mono_mul(ei, ej):
             continue
         meter.tick()
-        rem = reduce_poly(s_polynomial(fi, fj), basis, meter)
+        rem = reduce_poly(s_polynomial(fi, fj), basis, meter, leads)
         if rem.is_zero():
             continue
-        rem = _monic(rem)
         new_index = len(basis)
-        basis.append(rem)
-        for t in range(new_index):
-            pairs.add((new_index, t))
+        append(_monic(rem))
         if new_index % 8 == 0:
             meter.check_size(basis)
-    return _reduce_basis(basis, meter)
+    return _reduce_basis(basis, leads, meter)
 
 
-def _reduce_basis(basis: list[Polynomial], meter: _Meter) -> list[Polynomial]:
-    """Minimalize (drop redundant leads) then inter-reduce, monic."""
-    basis = sorted(basis, key=lambda p: grevlex_key(leading_term(p)[0]))
+def _reduce_basis(basis: list[Polynomial], leads: list[tuple],
+                  meter: _Meter) -> list[Polynomial]:
+    """Minimalize (drop redundant leads) then inter-reduce, monic.
+
+    `leads` holds `leading_term(p)` for each p in basis, all monic.
+    """
+    order = sorted(range(len(basis)), key=lambda t: grevlex_key(leads[t][0]))
+    leads = [leads[t] for t in order]
     minimal: list[Polynomial] = []
-    leads = [leading_term(p)[0] for p in basis]
-    for idx, p in enumerate(basis):
-        e = leads[idx]
-        if any(mono_divides(leads[t], e) for t in range(len(basis)) if t != idx
-               and (grevlex_key(leads[t]), t) < (grevlex_key(e), idx)):
+    minimal_leads: list[tuple] = []
+    for idx, t in enumerate(order):
+        # sorted ascending, so only an earlier lead can divide this one
+        if any(mono_divides(leads[s][0], leads[idx][0]) for s in range(idx)):
             continue
-        minimal.append(p)
-    reduced = []
-    for idx, p in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r = reduce_poly(p, others, meter) if others else p
-        if not r.is_zero():
-            reduced.append(_monic(r))
-    reduced.sort(key=lambda p: grevlex_key(leading_term(p)[0]))
-    return reduced
+        minimal.append(basis[t])
+        minimal_leads.append(leads[idx])
+    if len(minimal) == 1:
+        return minimal
+    # no lead of a minimal basis divides another's lead, so each remainder
+    # keeps its monic lead and the list stays in grevlex order
+    return [reduce_poly(p, minimal[:idx] + minimal[idx + 1:], meter,
+                        minimal_leads[:idx] + minimal_leads[idx + 1:])
+            for idx, p in enumerate(minimal)]
 
 
 def is_zero_dimensional(gb: list[Polynomial], nvars: int) -> bool:
@@ -258,12 +276,13 @@ def minimal_polynomial(gb: list[Polynomial], var: int, nvars: int,
     monos = staircase(gb, nvars)
     index = {m: i for i, m in enumerate(monos)}
     dim = len(monos)
+    leads = [leading_term(g) for g in gb]
     # rows of (power, vector) pairs kept in echelon form over Fractions
     echelon: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
     power = Polynomial.one(nvars)
     x = Polynomial.generator(nvars, var)
     for s in range(dim + 1):
-        nf = reduce_poly(power, gb, meter) if s else power
+        nf = reduce_poly(power, gb, meter, leads) if s else power
         vec = [Fraction(0)] * dim
         for e, c in nf.terms.items():
             vec[index[e]] = Fraction(c)

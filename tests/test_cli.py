@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +204,20 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_rank"] == 6
+
+
+@pytest.mark.parametrize("argv", [("conjecture", "7", "3"), ("certify", "3", "4", "9", "7")])
+def test_json_output_is_independent_of_hash_seed(tmp_path, argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "grasscohom", *argv, "--format", "json",
+             "--cache-dir", str(tmp_path / seed)],
+            capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])

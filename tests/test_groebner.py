@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from grasscohom.groebner import (
     BudgetExceeded,
     Budgets,
+    _Meter,
     binary_form_rational_zeros,
     buchberger,
     is_zero_dimensional,
@@ -15,7 +16,14 @@ from grasscohom.groebner import (
     reduce_poly,
     staircase,
 )
-from grasscohom.polynomials import Polynomial, grevlex_key, parse_polynomial
+from grasscohom.polynomials import (
+    Polynomial,
+    grevlex_key,
+    mono_divides,
+    mono_mul,
+    mono_quotient,
+    parse_polynomial,
+)
 
 
 def P(text, nvars):
@@ -138,31 +146,46 @@ def test_inconsistent_system_collapses_to_unit():
     assert staircase(gb, 2) == []
 
 
+CYCLIC_GENS = [
+    P("c1 + c2 + c3", 3),
+    P("c1*c2 + c2*c3 + c3*c1", 3),
+    P("c1*c2*c3 - 1", 3),
+]
+DETERMINISTIC_GENS = [P("c1^2*c2 - 1", 3), P("c1*c2^2 - c3", 3), P("c3^2 - c1", 3)]
+BUDGET_GENS = [
+    P("c1^2 + c2^2 + c3^2 - 1", 3),
+    P("c1*c2*c3 - 1", 3),
+    P("c1^3 - c2", 3),
+]
+
+
 def test_budget_exceeded_raises():
-    gens = [
-        P("c1^2 + c2^2 + c3^2 - 1", 3),
-        P("c1*c2*c3 - 1", 3),
-        P("c1^3 - c2", 3),
-    ]
     with pytest.raises(BudgetExceeded) as info:
-        buchberger(gens, Budgets(max_steps=5))
+        buchberger(BUDGET_GENS, Budgets(max_steps=5))
     assert "budget" in str(info.value)
 
 
 def test_buchberger_deterministic():
-    gens = [P("c1^2*c2 - 1", 3), P("c1*c2^2 - c3", 3), P("c3^2 - c1", 3)]
-    first = [g.to_text() for g in buchberger(gens)]
-    second = [g.to_text() for g in buchberger(gens)]
+    first = [g.to_text() for g in buchberger(DETERMINISTIC_GENS)]
+    second = [g.to_text() for g in buchberger(DETERMINISTIC_GENS)]
     assert first == second
 
 
+@pytest.mark.parametrize("gens, steps", [
+    (CYCLIC_GENS, 18),
+    (DETERMINISTIC_GENS, 27),
+    (BUDGET_GENS, 162),
+])
+def test_buchberger_step_count_pins_pair_order(gens, steps):
+    # the exact step count depends on which S-pair is reduced when, so a
+    # change in the selection order moves these budget boundaries
+    buchberger(gens, Budgets(max_steps=steps))
+    with pytest.raises(BudgetExceeded):
+        buchberger(gens, Budgets(max_steps=steps - 1))
+
+
 def test_cyclic_three():
-    gens = [
-        P("c1 + c2 + c3", 3),
-        P("c1*c2 + c2*c3 + c3*c1", 3),
-        P("c1*c2*c3 - 1", 3),
-    ]
-    gb = buchberger(gens)
+    gb = buchberger(CYCLIC_GENS)
     assert is_zero_dimensional(gb, 3)
     assert len(staircase(gb, 3)) == 6
     assert Fraction(1) in rational_roots(minimal_polynomial(gb, 0, 3))
@@ -170,11 +193,9 @@ def test_cyclic_three():
 
 # -- division properties ------------------------------------------------
 
-CYCLIC_GB = buchberger([
-    P("c1 + c2 + c3", 3),
-    P("c1*c2 + c2*c3 + c3*c1", 3),
-    P("c1*c2*c3 - 1", 3),
-])
+CYCLIC_GB = buchberger(CYCLIC_GENS)
+# not a Groebner basis: c1^2*c2 has a different remainder in each order
+ORDERED_BASIS = [P("c1*c2 - c3", 3), P("c1^2 - c2", 3), P("c2*c3 - c1 + 2", 3)]
 
 
 def _random_poly(rng_ints, nvars=3, max_exp=3, terms=4):
@@ -200,6 +221,55 @@ def test_reduction_is_idempotent_and_exact(ints):
     leads = [leading_term(g)[0] for g in CYCLIC_GB]
     for exps in r.terms:
         assert not any(all(e >= l for e, l in zip(exps, lead)) for lead in leads)
+
+
+def _reference_reduce(poly, basis, meter):
+    """Division by re-scanning for the largest term at every step."""
+    lts = [leading_term(b) for b in basis]
+    work = dict(poly.terms)
+    remainder = {}
+    while work:
+        exps = max(work, key=grevlex_key)
+        coeff = work.pop(exps)
+        hit = next(((b, lt) for b, lt in zip(basis, lts)
+                    if lt is not None and mono_divides(lt[0], exps)), None)
+        if hit is None:
+            remainder[exps] = coeff
+            continue
+        meter.tick()
+        b, (lexps, lcoeff) = hit
+        q = mono_quotient(exps, lexps)
+        factor = Fraction(coeff) / Fraction(lcoeff)
+        for e, c in b.terms.items():
+            if e == lexps:
+                continue
+            target = mono_mul(q, e)
+            acc = work.get(target, 0) - factor * c
+            if acc:
+                work[target] = acc
+            else:
+                work.pop(target, None)
+    return Polynomial(poly.nvars, remainder)
+
+
+def test_ordered_basis_division_depends_on_order():
+    p = P("c1^2*c2", 3)
+    assert reduce_poly(p, ORDERED_BASIS) != reduce_poly(p, ORDERED_BASIS[::-1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=16, max_size=16),
+       st.sampled_from([CYCLIC_GB, ORDERED_BASIS, ORDERED_BASIS[::-1]]))
+def test_reduction_matches_reference_division(ints, basis):
+    p = _random_poly(ints, max_exp=4)
+    budgets = Budgets()
+    fast, slow = _Meter(budgets), _Meter(budgets)
+    leads = [leading_term(b) for b in basis]
+    r = reduce_poly(p, basis, fast, leads)
+    ref = _reference_reduce(p, basis, slow)
+    assert list(r.terms.items()) == list(ref.terms.items())
+    assert fast.steps == slow.steps
+    assert reduce_poly(p, basis) == r
 
 
 def test_leading_term_uses_grevlex():
