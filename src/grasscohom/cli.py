@@ -26,20 +26,13 @@ import sys
 from .cache import CacheIntegrityError, DiskRingCache
 from .groebner import Budgets
 from .maps import (
-    bijective_through_degree,
     check_well_defined,
     hom_to_dict,
+    rank_profile,
     restriction_i,
     restriction_j,
-    surjective_every_degree,
 )
-from .rings import (
-    RingSpec,
-    freeness_check,
-    hilbert_check,
-    pairing_is_unimodular,
-    top_identity,
-)
+from .rings import RingSpec, freeness_check, pairing_is_unimodular, top_identity
 from .solver import admissible_tuples, certify_rigidity, conjecture_scan, replay_certificate
 
 EXIT_OK = 0
@@ -125,11 +118,11 @@ def cmd_verify_facts(args, cache: DiskRingCache) -> int:
     table = cache.get(spec)
     facts = []
 
+    freeness = freeness_check(spec, seed=args.seed)
     facts.append((
-        "hilbert-series", hilbert_check(spec),
+        "hilbert-series", freeness.hilbert_ok,
         f"graded ranks match the Gaussian binomial [{n} {k}]_q"))
 
-    freeness = freeness_check(spec, seed=args.seed)
     detail = "every graded piece is free abelian"
     if not freeness.ok:
         detail = f"torsion suspected in degrees {freeness.offending_degrees}"
@@ -145,23 +138,21 @@ def cmd_verify_facts(args, cache: DiskRingCache) -> int:
         all(pairing_is_unimodular(table, r) for r in range(d + 1)),
         "every complementary-degree pairing matrix has determinant +-1"))
 
-    plane = restriction_i(n, k)
-    plane_ok = (check_well_defined(plane, cache).ok
-                and surjective_every_degree(plane, cache)
-                and bijective_through_degree(plane, n - k, cache))
-    facts.append((
-        "plane-restriction-iso-range", plane_ok,
-        f"G({n + 1},{k}) -> G({n},{k}) is well defined, onto, and an "
-        f"isomorphism through complex degree {n - k}"))
-
-    subspace = restriction_j(n, k)
-    subspace_ok = (check_well_defined(subspace, cache).ok
-                   and surjective_every_degree(subspace, cache)
-                   and bijective_through_degree(subspace, k, cache))
-    facts.append((
-        "subspace-restriction-iso-range", subspace_ok,
-        f"G({n + 1},{k + 1}) -> G({n},{k}) is well defined, onto, and an "
-        f"isomorphism through complex degree {k}"))
+    restrictions = (
+        ("plane-restriction-iso-range", restriction_i(n, k), n - k,
+         f"G({n + 1},{k}) -> G({n},{k}) is well defined, onto, and an "
+         f"isomorphism through complex degree {n - k}"),
+        ("subspace-restriction-iso-range", restriction_j(n, k), k,
+         f"G({n + 1},{k + 1}) -> G({n},{k}) is well defined, onto, and an "
+         f"isomorphism through complex degree {k}"),
+    )
+    for name, hom, bound, detail in restrictions:
+        ok = check_well_defined(hom, cache).ok
+        if ok:
+            profile = rank_profile(hom, cache)
+            ok = (all(e.surjective for e in profile)
+                  and all(e.bijective for e in profile if e.degree <= bound))
+        facts.append((name, ok, detail))
 
     all_pass = all(ok for _, ok, _ in facts)
     payload = {

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .linalg import integer_rref
+from .linalg import clear_denominators, rank_exact
 from .polynomials import Polynomial, parse_polynomial
 from .rings import DEFAULT_CACHE, RingCache, RingElement, RingSpec, RingTable
 
@@ -182,17 +181,9 @@ def degree_matrix(h: GradedHom, r: int,
 def _matrix_rank(rows) -> int:
     if not rows:
         return 0
-    ncols = len(rows[0])
-    sparse = []
-    for row in rows:
-        denom = 1
-        for v in row:
-            f = Fraction(v)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        sparse.append({j: int(Fraction(v) * denom) for j, v in enumerate(row)
-                       if Fraction(v) != 0})
-    reduced, _ = integer_rref(sparse, ncols)
-    return len(reduced)
+    sparse = [clear_denominators({j: v for j, v in enumerate(row) if v})[0]
+              for row in rows]
+    return rank_exact(sparse, len(rows[0]))
 
 
 @dataclass(frozen=True)

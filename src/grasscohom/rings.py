@@ -22,6 +22,10 @@ over monomials m of degree r - j):
   finite-dimensional; k forms in k variables with finite quotient are a
   regular sequence, which forces the Hilbert series to be the product
   formula over the relation degrees, here exactly the q-binomial [n k]_q.
+* trust: the predicted rank is an upper bound, so the lower bound decides
+  the rank, only when both premises of the series argument are certified:
+  the relations are k homogeneous forms of degrees n-k+1..n, and the
+  window above the top degree vanishes.  Any other slice rank is exact.
 * freeness: integer row operations only; see `linalg.cokernel_is_free`.
 """
 
@@ -36,6 +40,7 @@ from .linalg import (
     bareiss_determinant,
     cokernel_is_free,
     integer_rref,
+    rank_exact,
     rank_lower_bound_certified,
 )
 from .polynomials import (
@@ -179,37 +184,23 @@ def ideal_slice(relations: list[Polynomial], k: int, r: int):
 
 
 def _slice_rank_certified(rows, ncols: int, expected: int) -> bool:
-    """Certify the slice rank equals `expected`, where `expected` is known
-    on other grounds to be an upper bound; mod-p pivots supply the lower
-    bound, with an exact elimination as the fallback."""
+    """Certify the slice rank is at least `expected`: mod-p pivots supply
+    the lower bound, with an exact elimination as the fallback."""
     if expected == 0:
         return all(not r for r in rows)
     return rank_lower_bound_certified(rows, ncols, expected)
 
 
-def _exact_betti(relations, k: int, r: int) -> int:
-    rows, monos, _ = ideal_slice(relations, k, r)
-    reduced, free_cols = integer_rref(rows, len(monos))
-    return len(free_cols)
+def _graded_ranks(spec: RingSpec, relations: list[Polynomial]):
+    """The one rank pass behind the Hilbert and freeness checks.
 
-
-def hilbert_check(spec: RingSpec, relations: list[Polynomial] | None = None) -> bool:
-    """True iff the quotient's Hilbert series equals the q-binomial [n k]_q.
-
-    For the standard relation shape (k homogeneous forms of degrees
-    n-k+1..n) the argument runs in two directions.  Up: the k degrees above
-    d = k(n-k) are certified to vanish, which forces finiteness and hence
-    the product-formula series (see the module docstring); that pins every
-    coefficient from above.  Down: each degree r <= d must still exhibit
-    enough independent slice rows to reach the predicted rank, so the
-    series is also confirmed degree by degree rather than by theory alone.
-    Relation lists of a different shape are compared against the
-    q-binomial by exact per-degree ranks.
+    Returns (window_vanishes, ranks): the k degrees above the top are
+    sliced first, then `ranks` lazily slices each degree 0..d once and
+    yields (rows, ncols, rank).  A mod-p lower bound decides a rank only
+    when the module docstring's series argument makes the q-binomial rank
+    an upper bound; every other rank is exact.
     """
-    if relations is None:
-        relations = grassmann_relations(spec)
-    n, k = spec.n, spec.k
-    d = spec.dim
+    n, k, d = spec.n, spec.k, spec.dim
     gauss = gaussian_binomial(n, k)
     degrees = sorted(h.max_degree() for h in relations if not h.is_zero())
     standard_shape = (
@@ -217,24 +208,39 @@ def hilbert_check(spec: RingSpec, relations: list[Polynomial] | None = None) -> 
         and degrees == list(range(n - k + 1, n + 1))
         and all(h.is_homogeneous() for h in relations)
     )
-    # window above the top degree must vanish entirely
+    window_vanishes = True
     for r in range(d + 1, d + k + 1):
         rows, monos, _ = ideal_slice(relations, k, r)
         if not _slice_rank_certified(rows, len(monos), len(monos)):
-            if _exact_betti(relations, k, r) != 0:
-                return False
-    if standard_shape:
+            window_vanishes = False
+            break
+    trusted = standard_shape and window_vanishes
+
+    def ranks():
         for r in range(0, d + 1):
             rows, monos, _ = ideal_slice(relations, k, r)
-            expected = len(monos) - gauss[r]
-            if not _slice_rank_certified(rows, len(monos), expected):
-                if _exact_betti(relations, k, r) != gauss[r]:
-                    return False
-        return True
-    for r in range(0, d + 1):
-        if _exact_betti(relations, k, r) != gauss[r]:
-            return False
-    return True
+            ncols = len(monos)
+            expected = ncols - gauss[r]
+            if trusted and _slice_rank_certified(rows, ncols, expected):
+                rank = expected
+            else:
+                rank = rank_exact(rows, ncols)
+            yield rows, ncols, rank
+
+    return window_vanishes, ranks()
+
+
+def hilbert_check(spec: RingSpec, relations: list[Polynomial] | None = None) -> bool:
+    """True iff the quotient's Hilbert series equals the q-binomial [n k]_q:
+    the k degrees above d = k(n-k) vanish and every degree r <= d leaves
+    exactly [n k]_q[r] basis monomials, by the ranks of `_graded_ranks`.
+    """
+    if relations is None:
+        relations = grassmann_relations(spec)
+    gauss = gaussian_binomial(spec.n, spec.k)
+    window_vanishes, ranks = _graded_ranks(spec, relations)
+    return window_vanishes and all(
+        ncols - rank == gauss[r] for r, (_, ncols, rank) in enumerate(ranks))
 
 
 @dataclass(frozen=True)
@@ -247,9 +253,13 @@ class DegreeFreeness:
 
 @dataclass(frozen=True)
 class FreenessReport:
+    """Per-degree freeness plus the Hilbert verdict of the same rank pass."""
+
     spec: RingSpec
     degrees: tuple[DegreeFreeness, ...]
     ok: bool
+    window_vanishes: bool
+    hilbert_ok: bool
 
     @property
     def offending_degrees(self) -> list[int]:
@@ -270,30 +280,25 @@ def freeness_check(spec: RingSpec,
     maximal minor directly, and any residual lattice is decided by
     factoring the gcd of sampled maximal minors and checking full rank
     modulo each prime divisor (a torsion prime divides every maximal
-    minor, so primes outside the gcd need no check).
+    minor, so primes outside the gcd need no check).  The ranks come from
+    the same pass as `hilbert_check`, whose verdict the report carries.
     """
     if relations is None:
         relations = grassmann_relations(spec)
-    n, k = spec.n, spec.k
-    d = spec.dim
-    gauss = gaussian_binomial(n, k)
+    gauss = gaussian_binomial(spec.n, spec.k)
     rng = random.Random(seed or 0x5eed)
+    window_vanishes, ranks = _graded_ranks(spec, relations)
     entries = []
-    all_ok = True
-    for r in range(0, d + 1):
-        rows, monos, _ = ideal_slice(relations, k, r)
-        expected = len(monos) - (gauss[r] if r < len(gauss) else 0)
-        if _slice_rank_certified(rows, len(monos), expected):
-            rank = expected
-        else:
-            reduced, _ = integer_rref([dict(x) for x in rows], len(monos))
-            rank = len(reduced)
-        free = cokernel_is_free(rows, len(monos), rank, rng)
-        betti_r = len(monos) - rank
-        entries.append(DegreeFreeness(r, rank, betti_r, free))
-        if not free:
-            all_ok = False
-    return FreenessReport(spec, tuple(entries), all_ok)
+    for r, (rows, ncols, rank) in enumerate(ranks):
+        free = cokernel_is_free(rows, ncols, rank, rng)
+        entries.append(DegreeFreeness(r, rank, ncols - rank, free))
+    return FreenessReport(
+        spec, tuple(entries),
+        ok=all(e.free for e in entries),
+        window_vanishes=window_vanishes,
+        hilbert_ok=window_vanishes and all(
+            e.betti == gauss[e.degree] for e in entries),
+    )
 
 
 # -- the ring table ----------------------------------------------------
@@ -428,10 +433,6 @@ class RingElement:
         else:
             self.terms = dict(poly_or_terms)
 
-    @classmethod
-    def from_poly(cls, ring: RingTable, poly: Polynomial) -> "RingElement":
-        return cls(ring, poly)
-
     def as_poly(self) -> Polynomial:
         return Polynomial(self.ring.spec.k, self.terms)
 
@@ -541,10 +542,6 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{self.ring.spec} element {self.to_text()}>"
-
-
-def normal_form(ring: RingTable, poly: Polynomial) -> RingElement:
-    return RingElement(ring, poly)
 
 
 def generator_element(ring: RingTable, index: int, power: int = 1) -> RingElement:

@@ -285,8 +285,7 @@ def _project(poly: Polynomial, var_map: dict[int, int], nvars: int) -> Polynomia
     return Polynomial(nvars, terms)
 
 
-def _build_hom(system: HomSystem, assignment: list[Fraction],
-               cache: RingCache | None) -> GradedHom:
+def _build_hom(system: HomSystem, assignment: list[Fraction]) -> GradedHom:
     images = []
     for block in system.generator_blocks():
         terms = {}
@@ -302,7 +301,7 @@ def _build_hom(system: HomSystem, assignment: list[Fraction],
 def _verified_witness(system: HomSystem, assignment: list[Fraction],
                       steps: list[str],
                       cache: RingCache | None) -> WitnessFound:
-    hom = _build_hom(system, assignment, cache)
+    hom = _build_hom(system, assignment)
     report = check_well_defined(hom, cache)
     if not report.ok:
         raise AssertionError(

@@ -54,6 +54,25 @@ def test_verify_facts_all_pass(capsys, tmp_path):
     assert all(": PASS" in l for l in lines)
 
 
+def test_verify_facts_computes_each_rank_profile_once(capsys, tmp_path,
+                                                     monkeypatch):
+    import grasscohom.maps as maps
+    calls = []
+    original = maps.rank_profile
+
+    def counting(h, cache=None):
+        calls.append((h.source, h.target))
+        return original(h, cache)
+
+    monkeypatch.setattr(maps, "rank_profile", counting)
+    monkeypatch.setattr(cli, "rank_profile", counting, raising=False)
+    code, _, _ = run_cli(capsys, "verify-facts", "6", "3",
+                         "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
+
+
 def test_certify_only_trivial(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "certify", "1", "2", "5", "3",
                            "--format", "json", "--cache-dir", str(tmp_path))

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from grasscohom.maps import (
+    _matrix_rank,
     GradedHom,
     apply_hom,
     bijective_through_degree,
@@ -132,3 +134,11 @@ def test_rank_profile_covers_all_source_degrees(tables):
     # the profile runs through the target's top degree
     assert [entry.degree for entry in profile] == [0, 1, 2]
     assert profile[-1].target_betti == 1
+
+
+def test_matrix_rank_clears_denominators():
+    assert _matrix_rank([]) == 0
+    assert _matrix_rank([[0, 0], [0, 0]]) == 0
+    assert _matrix_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert _matrix_rank([[Fraction(1, 3), 0, 1], [0, Fraction(2, 5), 1],
+                         [1, 1, 0]]) == 3

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grasscohom.rings as rings
 from grasscohom.polynomials import Polynomial, parse_polynomial
 from grasscohom.rings import (
     RingCache,
@@ -129,6 +130,58 @@ def test_freeness_check_detects_torsion():
     report = freeness_check(RingSpec(3, 1), doubled)
     assert not report.ok
     assert 2 in report.offending_degrees
+
+
+def test_freeness_check_ranks_nonstandard_relations_exactly():
+    # three relations for k = 2 are outside the standard shape, so the
+    # q-binomial rank is no upper bound: degree 3 has rows {c1^3, 2*c1*c2}
+    # of rank 2 with cokernel Z/2, and degree 4 has the same torsion
+    rels = [parse_polynomial(t, 2) for t in ("c1^3", "2*c1*c2", "c2^2")]
+    report = freeness_check(RingSpec(4, 2), rels)
+    assert not report.ok
+    assert report.offending_degrees == [3, 4]
+    assert report.degrees[3].rank == 2
+    assert report.degrees[3].betti == 0
+    assert not report.hilbert_ok
+
+
+def test_freeness_report_carries_the_hilbert_verdict():
+    spec = RingSpec(4, 2)
+    report = freeness_check(spec)
+    assert report.window_vanishes and report.hilbert_ok
+    wrong = grassmann_relations(RingSpec(5, 2))
+    assert not freeness_check(spec, wrong).hilbert_ok
+    powers = [parse_polynomial("c1^3", 2), parse_polynomial("c1^4", 2)]
+    report = freeness_check(spec, powers)
+    assert not report.window_vanishes and not report.hilbert_ok
+
+
+def _count_slices(monkeypatch):
+    calls = []
+    original = rings.ideal_slice
+
+    def counting(relations, k, r):
+        calls.append(r)
+        return original(relations, k, r)
+
+    monkeypatch.setattr(rings, "ideal_slice", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (7, 2)])
+def test_freeness_check_slices_each_degree_once(monkeypatch, n, k):
+    spec = RingSpec(n, k)
+    calls = _count_slices(monkeypatch)
+    assert freeness_check(spec).ok
+    assert len(calls) == spec.dim + 1 + k
+    assert sorted(calls) == list(range(spec.dim + k + 1))
+
+
+def test_hilbert_check_slices_each_degree_once(monkeypatch):
+    spec = RingSpec(6, 3)
+    calls = _count_slices(monkeypatch)
+    assert hilbert_check(spec)
+    assert len(calls) == spec.dim + 1 + spec.k
 
 
 # -- ring tables --------------------------------------------------------
