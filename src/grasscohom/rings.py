@@ -27,11 +27,19 @@ over monomials m of degree r - j):
   the relations are k homogeneous forms of degrees n-k+1..n, and the
   window above the top degree vanishes.  Any other slice rank is exact.
 * freeness: integer row operations only; see `linalg.cokernel_is_free`.
+
+Tables serialize to `grasscohom.ring-table/2` (`table_to_dict`): the
+relations as text, then per degree the basis as exponent vectors and the
+reduction rows as basis indices with JSON-integer coefficients, so a load
+is a `json` parse plus conversion.  `table_from_dict` checks the structure
+as it converts (relations, section count, exponent vectors, basis sizes,
+pivots, indices, coefficient types) and raises ValueError on a mismatch.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -49,7 +57,6 @@ from .polynomials import (
     inverse_series,
     mono_mul,
     monomials_of_degree,
-    parse_polynomial,
 )
 
 
@@ -322,13 +329,13 @@ class RingTable:
         self.reduction = reduction
         top = self.basis[spec.dim]
         if len(top) != 1:
-            raise AssertionError(f"top degree of {spec} is not rank 1")
+            raise ValueError(f"top degree of {spec} is not rank 1")
         # coordinate of ck^(n-k) against the top basis monomial
         ck_top = [0] * spec.k
         ck_top[spec.k - 1] = spec.n - spec.k
         coeff = self._reduce_monomial(tuple(ck_top)).get(top[0], 0)
         if coeff == 0:
-            raise AssertionError(f"ck^(n-k) vanishes in top degree of {spec}")
+            raise ValueError(f"ck^(n-k) vanishes in top degree of {spec}")
         self.top_unit = coeff
 
     def _reduce_monomial(self, exps):
@@ -605,72 +612,121 @@ def nilpotency_degree(ring: RingTable, element: RingElement) -> int:
 
 # -- serialization ------------------------------------------------------
 
-TABLE_SCHEMA = "grasscohom.ring-table/1"
+TABLE_SCHEMA = "grasscohom.ring-table/2"
+
+_FRACTION_RE = re.compile(r"-?[1-9][0-9]*/[1-9][0-9]*")
 
 
-def _mono_text(exps) -> str:
-    return Polynomial.monomial(exps).to_text()
+def _coeff_to_json(c):
+    return int(c) if c.denominator == 1 else str(c)
 
 
 def table_to_dict(ring: RingTable) -> dict:
+    """Format v2: the relations as text, then one section per degree
+    r = 0..dim holding `basis`, exponent vectors in grevlex-descending
+    order, and `reduction`, one `[pivot, [[basis index, coeff], ...]]`
+    entry per non-basis monomial, sorted by the pivot's grevlex key, with
+    terms sorted by basis index.  A coefficient is a JSON int, or a "p/q"
+    string for a non-integral Fraction."""
     spec = ring.spec
+    degrees = []
+    for r in range(spec.dim + 1):
+        basis = ring.basis[r]
+        index = {b: i for i, b in enumerate(basis)}
+        reduction = [
+            [list(piv), [[i, _coeff_to_json(c)]
+                         for i, c in sorted((index[b], c) for b, c in expr.items())]]
+            for piv, expr in sorted(ring.reduction[r].items(),
+                                    key=lambda t: grevlex_key(t[0]))
+        ]
+        degrees.append({"basis": [list(b) for b in basis], "reduction": reduction})
     return {
         "schema": TABLE_SCHEMA,
         "n": spec.n,
         "k": spec.k,
         "relations": [h.to_text() for h in ring.relations],
-        "basis": {
-            str(r): [_mono_text(e) for e in ring.basis[r]]
-            for r in range(spec.dim + 1)
-        },
-        "reduction": {
-            str(r): {
-                _mono_text(piv): {
-                    _mono_text(b): str(c) for b, c in expr.items()
-                }
-                for piv, expr in sorted(
-                    ring.reduction[r].items(), key=lambda t: grevlex_key(t[0])
-                )
-            }
-            for r in range(spec.dim + 1)
-        },
+        "degrees": degrees,
     }
 
 
-def _parse_mono(text: str, k: int):
-    poly = parse_polynomial(text, k)
-    if len(poly.terms) != 1:
-        raise ValueError(f"not a monomial: {text!r}")
-    (exps, coeff), = poly.terms.items()
-    if coeff != 1:
-        raise ValueError(f"not a monic monomial: {text!r}")
-    return exps
+def _monomial_counts(k: int, top: int) -> list[int]:
+    """Number of monomials of each degree 0..top in c1..ck (deg ci = i):
+    the partitions of r into parts at most k."""
+    counts = [1] + [0] * top
+    for part in range(1, k + 1):
+        for r in range(part, top + 1):
+            counts[r] += counts[r - part]
+    return counts
 
 
-def _parse_coeff(text: str):
-    value = Fraction(text)
-    return int(value) if value.denominator == 1 else value
+def _exponents(value, k: int, r: int):
+    if (type(value) is not list or len(value) != k
+            or any(type(e) is not int or e < 0 for e in value)
+            or sum(w * e for w, e in enumerate(value, 1)) != r):
+        raise ValueError(f"degree {r}: {value!r} is not an exponent vector "
+                         f"of length {k} and degree {r}")
+    return tuple(value)
+
+
+def _fraction_from_json(value):
+    if type(value) is str and _FRACTION_RE.fullmatch(value):
+        frac = Fraction(value)
+        if frac.denominator > 1 and str(frac) == value:
+            return frac
+    raise ValueError(f"coefficient {value!r} is neither an int nor a "
+                     f"reduced p/q string")
 
 
 def table_from_dict(payload: dict) -> RingTable:
-    if payload.get("schema") != TABLE_SCHEMA:
-        raise ValueError(f"unsupported table schema: {payload.get('schema')!r}")
-    spec = RingSpec(payload["n"], payload["k"])
-    k = spec.k
-    relations = [parse_polynomial(t, k) for t in payload["relations"]]
-    basis = {
-        int(r): [_parse_mono(t, k) for t in monos]
-        for r, monos in payload["basis"].items()
-    }
-    reduction = {
-        int(r): {
-            _parse_mono(piv, k): {
-                _parse_mono(b, k): _parse_coeff(c) for b, c in expr.items()
-            }
-            for piv, expr in table.items()
-        }
-        for r, table in payload["reduction"].items()
-    }
+    """Inverse of `table_to_dict`, checking the structure as it converts.
+
+    Raises ValueError unless the relations equal `grassmann_relations`,
+    there are dim+1 degree sections, every exponent vector has length k,
+    non-negative int entries and the section's degree, each basis holds
+    [n k]_q[r] distinct monomials, the pivots are distinct and outside the
+    basis, basis and pivots together count every degree-r monomial, every
+    basis index is in range (and increasing within a row), and every
+    coefficient is an int or a reduced "p/q" string.
+    """
+    if not isinstance(payload, dict) or payload.get("schema") != TABLE_SCHEMA:
+        raise ValueError("unsupported table payload or schema")
+    n, k = payload["n"], payload["k"]
+    spec = RingSpec(n, k)
+    d = spec.dim
+    relations = grassmann_relations(spec)
+    if payload["relations"] != [h.to_text() for h in relations]:
+        raise ValueError(f"relations differ from those of {spec}")
+    sections = payload["degrees"]
+    if type(sections) is not list or len(sections) != d + 1:
+        raise ValueError(f"expected {d + 1} degree sections")
+    gauss = gaussian_binomial(n, k)
+    counts = _monomial_counts(k, d)
+    basis: dict[int, list] = {}
+    reduction: dict[int, dict] = {}
+    for r, section in enumerate(sections):
+        monos = [_exponents(v, k, r) for v in section["basis"]]
+        size = len(monos)
+        if size != gauss[r] or len(set(monos)) != size:
+            raise ValueError(f"degree {r}: basis is not {gauss[r]} distinct monomials")
+        entries = section["reduction"]
+        table = {}
+        for piv, terms in entries:
+            expr = {}
+            last = -1
+            for i, c in terms:
+                if type(i) is not int or not last < i < size:
+                    raise ValueError(f"degree {r}: basis index {i!r} out of "
+                                     f"range or order")
+                last = i
+                expr[monos[i]] = c if type(c) is int else _fraction_from_json(c)
+            table[_exponents(piv, k, r)] = expr
+        if len(table) != len(entries) or not table.keys().isdisjoint(monos):
+            raise ValueError(f"degree {r}: pivots repeat or meet the basis")
+        if size + len(table) != counts[r]:
+            raise ValueError(f"degree {r}: basis and pivots cover "
+                             f"{size + len(table)} of {counts[r]} monomials")
+        basis[r] = monos
+        reduction[r] = table
     return RingTable(spec, relations, basis, reduction)
 
 

@@ -11,6 +11,7 @@ from grasscohom.cache import (
     default_cache_dir,
     payload_checksum,
 )
+from grasscohom.cli import main
 from grasscohom.rings import RingSpec, build_ring
 
 
@@ -46,10 +47,12 @@ def test_disk_payload_is_deterministic(tmp_path):
     spec = RingSpec(5, 2)
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
-    DiskRingCache(a_dir).get(spec)
-    DiskRingCache(b_dir).get(spec)
-    a_bytes = (a_dir / "ring-5-2.v1.json").read_bytes()
-    b_bytes = (b_dir / "ring-5-2.v1.json").read_bytes()
+    a_cache = DiskRingCache(a_dir)
+    b_cache = DiskRingCache(b_dir)
+    a_cache.get(spec)
+    b_cache.get(spec)
+    a_bytes = a_cache.path_for(spec).read_bytes()
+    b_bytes = b_cache.path_for(spec).read_bytes()
     assert a_bytes == b_bytes
 
 
@@ -75,10 +78,99 @@ def test_tampered_table_raises(tmp_path):
     path = cache.path_for(spec)
 
     envelope = json.loads(path.read_text())
-    envelope["table"]["basis"]["2"] = envelope["table"]["basis"]["2"][:1]
+    section = envelope["table"]["degrees"][2]
+    section["basis"] = section["basis"][:1]
     path.write_text(json.dumps(envelope))
     with pytest.raises(CacheIntegrityError):
         DiskRingCache(tmp_path).get(spec)
+
+
+def _put(value, *keys):
+    def edit(payload):
+        *head, last = keys
+        for key in head:
+            payload = payload[key]
+        payload[last] = value
+    return edit
+
+
+# Edits to the stored G(6,2) payload.  Its degree-6 section is
+#   basis [[2, 2], [0, 3]], reduction [[[4, 1], [[0, 3], [1, -1]]],
+#                                      [[6, 0], [[0, 9], [1, -4]]]]
+# and its degree-8 section reduces [2, 3] to [[0, 1]].
+TAMPERS = {
+    # drops c1^4*c2 = 3*c1^2*c2^2 - c2^3, so it would pass as a basis monomial
+    "reduction-row-deleted": lambda t: t["degrees"][6]["reduction"].pop(0),
+    "pivot-in-basis": _put([2, 2], "degrees", 6, "reduction", 0, 0),
+    "pivot-repeats": lambda t: t["degrees"][6]["reduction"].append([[4, 1], [[0, 1]]]),
+    "basis-repeats": _put([2, 2], "degrees", 6, "basis", 1),
+    # c2^3 demoted to a pivot: one basis monomial short of [6 2]_q in degree 6
+    "basis-size-wrong": _put(
+        {"basis": [[2, 2]],
+         "reduction": [[[0, 3], []], [[4, 1], [[0, 3]]], [[6, 0], [[0, 9]]]]},
+        "degrees", 6),
+    "exponents-wrong-length": _put([2, 2, 0], "degrees", 6, "basis", 0),
+    "exponents-wrong-degree": _put([5, 1], "degrees", 6, "reduction", 0, 0),
+    "exponent-negative": _put([8, -1], "degrees", 6, "basis", 0),
+    "exponent-float": _put([2.0, 2], "degrees", 6, "basis", 0),
+    "degree-section-added": lambda t: t["degrees"].append({"basis": [], "reduction": []}),
+    "coefficient-true": _put(True, "degrees", 8, "reduction", 0, 1, 0, 1),
+    "coefficient-float": _put(3.0, "degrees", 6, "reduction", 0, 1, 0, 1),
+    "basis-index-out-of-range": _put(2, "degrees", 6, "reduction", 0, 1, 1, 0),
+    "basis-index-repeats": _put([[0, 3], [0, -1]], "degrees", 6, "reduction", 0, 1),
+    "relations-differ": _put("c1^5", "relations", 0),
+    # c2^4 demoted to a pivot reducing to zero, c1^2*c2^3 promoted to basis
+    "top-generator-vanishes": _put(
+        {"basis": [[2, 3]],
+         "reduction": [[[0, 4], []], [[4, 2], [[0, 2]]], [[6, 1], [[0, 5]]],
+                       [[8, 0], [[0, 14]]]]},
+        "degrees", 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_tampered_table_with_recomputed_checksum_raises(tmp_path, name):
+    spec = RingSpec(6, 2)
+    cache = DiskRingCache(tmp_path)
+    cache.get(spec)
+    path = cache.path_for(spec)
+    envelope = json.loads(path.read_text())
+    payload = envelope["table"]
+    assert payload["degrees"][6] == {
+        "basis": [[2, 2], [0, 3]],
+        "reduction": [[[4, 1], [[0, 3], [1, -1]]], [[6, 0], [[0, 9], [1, -4]]]],
+    }
+    assert payload["degrees"][8]["reduction"][0] == [[2, 3], [[0, 1]]]
+
+    TAMPERS[name](payload)
+    envelope["checksum"] = payload_checksum(payload)
+    path.write_text(canonical_json(envelope))
+    with pytest.raises(CacheIntegrityError):
+        DiskRingCache(tmp_path).get(spec)
+    assert main(["ring", "6", "2", "--cache-dir", str(tmp_path)]) == 3
+
+
+def test_v1_files_are_never_read(tmp_path):
+    (tmp_path / "ring-4-2.v1.json").write_text("not json at all")
+    cache = DiskRingCache(tmp_path)
+    table = cache.get(RingSpec(4, 2))
+    assert cache.misses == 1 and cache.disk_hits == 0
+    assert table.betti_numbers == [1, 1, 2, 1, 1]
+
+
+def test_byte_counters_match_the_file_size(tmp_path):
+    spec = RingSpec(5, 2)
+    first = DiskRingCache(tmp_path)
+    table = first.get(spec)
+    size = first.path_for(spec).stat().st_size
+    assert size > 0
+    assert (first.misses, first.bytes_read, first.bytes_written) == (1, 0, size)
+
+    second = DiskRingCache(tmp_path)
+    reloaded = second.get(spec)
+    assert (second.disk_hits, second.bytes_read, second.bytes_written) == (1, size, 0)
+    assert reloaded.basis == table.basis
+    assert reloaded.reduction == table.reduction
 
 
 def test_checksum_must_match_recomputation(tmp_path):
@@ -118,7 +210,7 @@ def test_env_var_controls_default_dir(tmp_path, monkeypatch):
     assert default_cache_dir() == tmp_path / "override"
     cache = DiskRingCache()
     cache.get(RingSpec(4, 2))
-    assert (tmp_path / "override" / "ring-4-2.v1.json").exists()
+    assert DiskRingCache(tmp_path / "override").path_for(RingSpec(4, 2)).exists()
 
 
 def test_cached_table_matches_fresh_build(tmp_path):

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import grasscohom.cache
 import grasscohom.cli as cli
+from grasscohom.cache import DiskRingCache
 from grasscohom.cli import main
+from grasscohom.rings import RingSpec
 
 
 def run_cli(capsys, *argv):
@@ -199,7 +202,7 @@ def test_replay_missing_and_malformed_files(capsys, tmp_path):
 
 def test_corrupt_cache_exit_code(capsys, tmp_path):
     run_cli(capsys, "ring", "4", "2", "--cache-dir", str(tmp_path))
-    target = tmp_path / "ring-4-2.v1.json"
+    target = DiskRingCache(tmp_path).path_for(RingSpec(4, 2))
     assert target.exists()
     target.write_text("garbage")
     code, _, err = run_cli(capsys, "ring", "4", "2",
@@ -214,6 +217,22 @@ def test_cache_reuse_gives_identical_output(capsys, tmp_path):
     _, second, _ = run_cli(capsys, "ring", "6", "2",
                            "--format", "json", "--cache-dir", str(tmp_path))
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [("2", "3", "14", "8"), ("1", "3", "9", "2")])
+def test_warm_certify_prints_the_cold_bytes(capsys, tmp_path, monkeypatch, argv):
+    cold = run_cli(capsys, "certify", *argv, "--cache-dir", str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"ring-{n}-{k}.v2.json" for n, k in {(int(argv[3]), int(argv[0])),
+                                             (int(argv[2]), int(argv[1]))})
+
+    def no_build(spec):
+        raise AssertionError(f"{spec} was rebuilt, not read from the cache")
+
+    monkeypatch.setattr(grasscohom.cache, "build_ring", no_build)
+    warm = run_cli(capsys, "certify", *argv, "--cache-dir", str(tmp_path))
+    assert cold[0] == 0
+    assert warm == cold
 
 
 def test_module_entry_point(tmp_path):
@@ -240,3 +259,6 @@ def test_json_output_is_independent_of_hash_seed(tmp_path, argv):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])
+    tables = [{p.name: p.read_bytes() for p in (tmp_path / seed).iterdir()}
+              for seed in ("0", "1")]
+    assert tables[0] and tables[0] == tables[1]

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,15 +277,48 @@ def test_non_canonical_spec_builds():
 
 # -- serialization and caching ------------------------------------------
 
+def _coefficient_types(table):
+    return {(r, piv, b): type(c) for r, rows in table.reduction.items()
+            for piv, expr in rows.items() for b, c in expr.items()}
+
+
 def test_table_round_trip(tables):
+    for n, k in [(5, 2), (8, 3), (14, 3)]:
+        ring = tables.get(RingSpec(n, k))
+        payload = json.loads(json.dumps(table_to_dict(ring)))
+        back = table_from_dict(payload)
+        assert back.spec == ring.spec
+        assert back.relations == ring.relations
+        assert back.basis == ring.basis
+        assert back.reduction == ring.reduction
+        assert _coefficient_types(back) == _coefficient_types(ring)
+        assert back.betti_numbers == ring.betti_numbers
+        assert back.top_unit == ring.top_unit
+        probe = parse_polynomial("c1^4 - c1*c2 + 3*c2^2", k)
+        assert back.normal_form_terms(probe) == ring.normal_form_terms(probe)
+
+
+def test_table_round_trip_keeps_fractions(tables):
     ring = tables.get(RingSpec(5, 2))
-    payload = json.loads(json.dumps(table_to_dict(ring)))
+    reduction = {r: {piv: dict(expr) for piv, expr in rows.items()}
+                 for r, rows in ring.reduction.items()}
+    r = min(r for r, rows in reduction.items() if rows)
+    piv = min(reduction[r])
+    b = min(reduction[r][piv])
+    reduction[r][piv][b] = Fraction(-3, 4)
+    hand = rings.RingTable(ring.spec, ring.relations, ring.basis, reduction)
+    payload = json.loads(json.dumps(table_to_dict(hand)))
     back = table_from_dict(payload)
-    assert back.spec == ring.spec
-    assert back.basis == ring.basis
-    assert back.betti_numbers == ring.betti_numbers
-    probe = parse_polynomial("c1^4 - c1*c2 + 3*c2^2", 2)
-    assert back.normal_form_terms(probe) == ring.normal_form_terms(probe)
+    assert back.reduction == hand.reduction
+    assert type(back.reduction[r][piv][b]) is Fraction
+
+    # the string form must be a reduced p/q with q > 1
+    (row,) = [terms for p, terms in payload["degrees"][r]["reduction"] if tuple(p) == piv]
+    (term,) = [t for t in row if t[1] == "-3/4"]
+    for bad in ("-6/8", "3/1", "-0.75", "-3 / 4"):
+        term[1] = bad
+        with pytest.raises(ValueError):
+            table_from_dict(payload)
 
 
 def test_cache_memoizes():
