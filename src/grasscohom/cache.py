@@ -1,24 +1,24 @@
-"""Disk-backed ring table cache with integrity checking.
+"""The one ring table cache: memory, then an optional directory, then a build.
 
-Tables are stored one compact JSON file per (n, k) under a cache
-directory, `ring-N-K.v2.json`, holding a `grasscohom.ring-table/2`
-payload (exponent vectors and integers, see `rings.table_to_dict`)
-wrapped in an envelope carrying a sha256 checksum of the canonical JSON
-payload.  Loads verify the checksum, then `rings.table_from_dict` checks
-the structure: the relations, the number of degree sections, every
-exponent vector's length, entries and degree, the basis sizes against the
-q-binomial, pivots distinct and outside the basis, basis plus pivots
-covering every monomial of each degree, basis indices in range, and
-coefficient types.  A mismatch raises CacheIntegrityError rather than
-silently rebuilding, so corruption is always surfaced (delete the file to
-recover).  Files of other formats, such as `ring-N-K.v1.json`, are never
-read: such a directory misses once and is rebuilt.  Writes go through a
-temp file and os.replace, so a crash mid-write can never leave a
-truncated table behind.
+`RingCache(directory=None)` looks a table up in memory, then on disk when
+it has a directory, and otherwise builds it; without a directory it never
+touches the disk.  `get_table` uses the memory-only `DEFAULT_CACHE` when
+no cache is passed.
 
-Directory resolution order: explicit argument, the GRASSCOHOM_CACHE_DIR
-environment variable, then ~/.cache/grasscohom (respecting
-XDG_CACHE_HOME).
+A table file, `ring-N-K.v2.json`, is exactly `{"checksum":"`, 64 lowercase
+hex digits, `","table":`, the canonical JSON payload (`rings.table_to_dict`
+with sorted keys and no whitespace) and `}`.  The checksum is the sha256
+of the payload bytes as stored, so a load checks that layout, hashes the
+payload slice and decodes only it; `rings.table_from_dict` then checks the
+structure.  Any mismatch raises CacheIntegrityError rather than silently
+rebuilding (delete the file to recover).  Other formats, such as
+`ring-N-K.v1.json`, are never read.  Writes go through a temp file and
+os.replace, so a crash never leaves a truncated table, and files get the
+mode open() gives under the process umask.
+
+The CLI's directory is `--cache-dir`, else `default_cache_dir()`: the
+GRASSCOHOM_CACHE_DIR environment variable, then ~/.cache/grasscohom
+(respecting XDG_CACHE_HOME).
 """
 
 from __future__ import annotations
@@ -26,12 +26,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 from .rings import RingSpec, RingTable, build_ring, table_from_dict, table_to_dict
 
 ENV_CACHE_DIR = "GRASSCOHOM_CACHE_DIR"
+
+# the canonical envelope {"checksum":"<64 hex>","table":<payload>}
+_PREFIX = b'{"checksum":"'
+_MIDDLE = b'","table":'
+_CHECKSUM_END = len(_PREFIX) + 64
+_PAYLOAD_START = _CHECKSUM_END + len(_MIDDLE)
 
 
 class CacheIntegrityError(Exception):
@@ -56,20 +62,18 @@ def default_cache_dir() -> Path:
     return root / "grasscohom"
 
 
-class DiskRingCache:
-    """Memory-over-disk ring table cache.
+class RingCache:
+    """Ring table cache over memory and an optional directory.
 
-    Duck-compatible with the in-memory RingCache (`get(spec)` returns a
-    table), so it can be passed anywhere a cache is accepted.  Hit/miss
-    counters and the bytes read from and written to table files are
-    exposed for observability; they never change what is returned, so
+    Hit/miss counters and the bytes read from and written to table files
+    are exposed for observability; they never change what is returned, so
     output built from a cached table is byte-identical to output built
     from a fresh one.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):
-        self.directory = Path(directory) if directory is not None else default_cache_dir()
-        self._memory: dict[tuple[int, int], RingTable] = {}
+        self.directory = Path(directory) if directory is not None else None
+        self._tables: dict[tuple[int, int], RingTable] = {}
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -89,21 +93,20 @@ class DiskRingCache:
         except OSError as err:
             raise CacheIntegrityError(f"cannot read {path}: {err}") from err
         self.bytes_read += len(raw)
-        try:
-            envelope = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise CacheIntegrityError(f"{path} is not valid JSON: {err}") from err
-        if not isinstance(envelope, dict) or set(envelope) != {"checksum", "table"}:
-            raise CacheIntegrityError(f"{path} has an unexpected envelope shape")
-        payload = envelope["table"]
-        expected = envelope["checksum"]
-        actual = payload_checksum(payload)
-        if actual != expected:
+        if (not raw.startswith(_PREFIX) or not raw.endswith(b"}")
+                or raw[_CHECKSUM_END:_PAYLOAD_START] != _MIDDLE):
             raise CacheIntegrityError(
-                f"{path} failed its checksum (stored {expected[:12]}..., "
+                f"{path} is not a checksum envelope in canonical layout")
+        stored = raw[len(_PREFIX):_CHECKSUM_END].decode("ascii", "replace")
+        body = raw[_PAYLOAD_START:-1]
+        actual = hashlib.sha256(body).hexdigest()
+        if actual != stored:
+            raise CacheIntegrityError(
+                f"{path} failed its checksum (stored {stored[:12]}..., "
                 f"recomputed {actual[:12]}...)")
         try:
-            table = table_from_dict(payload)
+            # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+            table = table_from_dict(json.loads(body))
         except (KeyError, ValueError, TypeError) as err:
             raise CacheIntegrityError(f"{path} payload rejected: {err}") from err
         if table.spec != spec:
@@ -112,16 +115,16 @@ class DiskRingCache:
         return table
 
     def _store_disk(self, spec: RingSpec, table: RingTable) -> None:
-        payload = table_to_dict(table)
-        envelope = {"checksum": payload_checksum(payload), "table": payload}
-        data = canonical_json(envelope).encode("utf-8")
+        body = canonical_json(table_to_dict(table)).encode("utf-8")
+        checksum = hashlib.sha256(body).hexdigest().encode("ascii")
+        data = _PREFIX + checksum + _MIDDLE + body + b"}"
         path = self.path_for(spec)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory,
-                                       prefix=path.name, suffix=".tmp")
             try:
-                with os.fdopen(fd, "wb") as handle:
+                # mode "x" creates with 0o666 under the umask, as open() does
+                with open(tmp, "xb") as handle:
                     handle.write(data)
                 os.replace(tmp, path)
             except BaseException:
@@ -136,16 +139,28 @@ class DiskRingCache:
 
     def get(self, spec: RingSpec) -> RingTable:
         key = (spec.n, spec.k)
-        table = self._memory.get(key)
+        table = self._tables.get(key)
         if table is not None:
             self.memory_hits += 1
             return table
-        table = self._load_disk(spec)
+        table = self._load_disk(spec) if self.directory is not None else None
         if table is not None:
             self.disk_hits += 1
         else:
             self.misses += 1
             table = build_ring(spec)
-            self._store_disk(spec, table)
-        self._memory[key] = table
+            if self.directory is not None:
+                self._store_disk(spec, table)
+        self._tables[key] = table
         return table
+
+
+# perfbench/ binds this name; it is the same class
+DiskRingCache = RingCache
+
+DEFAULT_CACHE = RingCache()
+
+
+def get_table(spec: RingSpec, cache: RingCache | None = None) -> RingTable:
+    """Table lookup through the given cache, or the process-wide default."""
+    return (cache if cache is not None else DEFAULT_CACHE).get(spec)

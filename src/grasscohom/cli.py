@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .cache import CacheIntegrityError, DiskRingCache
+from .cache import CacheIntegrityError, RingCache, default_cache_dir
 from .groebner import Budgets
 from .maps import (
     check_well_defined,
@@ -72,7 +72,7 @@ def _topological_betti(betti: list[int]) -> list[int]:
     return out
 
 
-def cmd_ring(args, cache: DiskRingCache) -> int:
+def cmd_ring(args, cache: RingCache) -> int:
     requested = RingSpec(args.n, args.k)
     canonical = requested.canonical()
     table = cache.get(canonical)
@@ -112,7 +112,7 @@ def cmd_ring(args, cache: DiskRingCache) -> int:
     return EXIT_OK if verified else EXIT_FAILED_FACT
 
 
-def cmd_verify_facts(args, cache: DiskRingCache) -> int:
+def cmd_verify_facts(args, cache: RingCache) -> int:
     spec = RingSpec(args.n, args.k)
     n, k, d = spec.n, spec.k, spec.dim
     table = cache.get(spec)
@@ -199,7 +199,7 @@ def _certificate_lines(cert) -> list[str]:
     return lines
 
 
-def cmd_certify(args, cache: DiskRingCache) -> int:
+def cmd_certify(args, cache: RingCache) -> int:
     cert = certify_rigidity(args.k, args.l, args.m, args.n,
                             strict_inequality=(args.strict_bound == "on"),
                             budgets=_budgets_from(args), cache=cache)
@@ -207,7 +207,7 @@ def cmd_certify(args, cache: DiskRingCache) -> int:
     return _EXIT_BY_CONCLUSION[cert.conclusion]
 
 
-def cmd_scan(args, cache: DiskRingCache) -> int:
+def cmd_scan(args, cache: RingCache) -> int:
     budgets = _budgets_from(args)
     strict = args.strict_bound == "on"
     saw_inconclusive = False
@@ -227,7 +227,7 @@ def cmd_scan(args, cache: DiskRingCache) -> int:
     return EXIT_INCONCLUSIVE if saw_inconclusive else EXIT_OK
 
 
-def cmd_conjecture(args, cache: DiskRingCache) -> int:
+def cmd_conjecture(args, cache: RingCache) -> int:
     report = conjecture_scan(args.n, args.k, budgets=_budgets_from(args),
                              cache=cache)
     payload = {
@@ -253,7 +253,7 @@ def cmd_conjecture(args, cache: DiskRingCache) -> int:
     return _EXIT_BY_CONCLUSION[report.conclusion]
 
 
-def cmd_replay(args, cache: DiskRingCache) -> int:
+def cmd_replay(args, cache: RingCache) -> int:
     try:
         raw = open(args.path, "r", encoding="utf-8").read()
     except OSError as err:
@@ -346,7 +346,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cache = DiskRingCache(args.cache_dir)
+        cache = RingCache(args.cache_dir if args.cache_dir is not None
+                          else default_cache_dir())
         return args.func(args, cache)
     except CacheIntegrityError as err:
         print(f"cache integrity error: {err}", file=sys.stderr)

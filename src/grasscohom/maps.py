@@ -25,15 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cache import RingCache, get_table
 from .linalg import clear_denominators, rank_exact
 from .polynomials import Polynomial, parse_polynomial
-from .rings import DEFAULT_CACHE, RingCache, RingElement, RingSpec, RingTable
+from .rings import RingElement, RingSpec
 
 HOM_SCHEMA = "grasscohom.graded-hom/1"
-
-
-def _tables(cache: RingCache | None) -> RingCache:
-    return cache if cache is not None else DEFAULT_CACHE
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ def apply_hom(h: GradedHom, x: RingElement,
     """Image of x: substitute generator images, reduce in the target."""
     if x.ring.spec != h.source:
         raise ValueError(f"element lives in {x.ring.spec}, hom expects {h.source}")
-    target_ring = _tables(cache).get(h.target)
+    target_ring = get_table(h.target, cache)
     substituted = x.as_poly().substitute(list(h.images))
     return RingElement(target_ring, substituted)
 
@@ -118,7 +115,7 @@ def apply_hom(h: GradedHom, x: RingElement,
 def apply_hom_poly(h: GradedHom, poly: Polynomial,
                    cache: RingCache | None = None) -> RingElement:
     """Image of a raw source polynomial (no source reduction first)."""
-    target_ring = _tables(cache).get(h.target)
+    target_ring = get_table(h.target, cache)
     return RingElement(target_ring, poly.substitute(list(h.images)))
 
 
@@ -133,7 +130,7 @@ def compose(g: GradedHom, h: GradedHom,
         raise ValueError(
             f"cannot compose: {h.target} (after first map) != {g.source}"
         )
-    target_ring = _tables(cache).get(g.target)
+    target_ring = get_table(g.target, cache)
     images = []
     for img in h.images:
         pushed = img.substitute(list(g.images))
@@ -157,8 +154,7 @@ def check_well_defined(h: GradedHom,
     """A graded hom is well defined iff every source relation maps to zero
     in the target; on failure the offending relation and its nonzero image
     are returned as the witness."""
-    tables = _tables(cache)
-    source_ring = tables.get(h.source)
+    source_ring = get_table(h.source, cache)
     for idx, rel in enumerate(source_ring.relations):
         image = apply_hom_poly(h, rel, cache)
         if not image.is_zero():
@@ -169,8 +165,7 @@ def check_well_defined(h: GradedHom,
 def degree_matrix(h: GradedHom, r: int,
                   cache: RingCache | None = None) -> list[list[Fraction]]:
     """Rows: images of the source degree-r basis in target coordinates."""
-    tables = _tables(cache)
-    source_ring = tables.get(h.source)
+    source_ring = get_table(h.source, cache)
     rows = []
     for mono in source_ring.basis.get(r, []):
         img = apply_hom_poly(h, Polynomial.monomial(mono), cache)
@@ -205,9 +200,8 @@ class DegreeRank:
 def rank_profile(h: GradedHom,
                  cache: RingCache | None = None) -> list[DegreeRank]:
     """Per-degree image ranks up to the target's top degree."""
-    tables = _tables(cache)
-    source_ring = tables.get(h.source)
-    target_ring = tables.get(h.target)
+    source_ring = get_table(h.source, cache)
+    target_ring = get_table(h.target, cache)
     out = []
     for r in range(target_ring.spec.dim + 1):
         rank = _matrix_rank(degree_matrix(h, r, cache))
@@ -242,8 +236,6 @@ def compose_alpha_beta(m: int, l: int, n: int, k: int,
         raise ValueError(f"need m-l > n-k, got m-l={m - l}, n-k={n - k}")
     mid = m - l + k
 
-    tables = _tables(cache)
-
     alpha = None
     spec_n, spec_k = m - 1, l - 1
     for _ in range(l - k):
@@ -252,7 +244,7 @@ def compose_alpha_beta(m: int, l: int, n: int, k: int,
         spec_n -= 1
         spec_k -= 1
     assert alpha is not None and alpha.target == RingSpec(mid, k)
-    mid_ring = tables.get(RingSpec(mid, k))
+    mid_ring = get_table(RingSpec(mid, k), cache)
     alpha_canon = tuple(RingElement(mid_ring, img).as_poly() for img in alpha.images)
     direct = tuple(
         RingElement(mid_ring,
@@ -268,7 +260,7 @@ def compose_alpha_beta(m: int, l: int, n: int, k: int,
         step = restriction_i(ambient, k)
         beta = step if beta is None else compose(step, beta, cache)
     assert beta is not None and beta.target == RingSpec(n, k)
-    final_ring = tables.get(RingSpec(n, k))
+    final_ring = get_table(RingSpec(n, k), cache)
     beta_canon = tuple(RingElement(final_ring, img).as_poly() for img in beta.images)
     direct_beta = tuple(
         RingElement(final_ring, Polynomial.generator(k, i)).as_poly()

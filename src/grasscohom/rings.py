@@ -34,6 +34,8 @@ reduction rows as basis indices with JSON-integer coefficients, so a load
 is a `json` parse plus conversion.  `table_from_dict` checks the structure
 as it converts (relations, section count, exponent vectors, basis sizes,
 pivots, indices, coefficient types) and raises ValueError on a mismatch.
+`cache.RingCache` is the one table cache: memory-only unless given a
+directory, where it stores these payloads checksummed over their bytes.
 """
 
 from __future__ import annotations
@@ -730,24 +732,10 @@ def table_from_dict(payload: dict) -> RingTable:
     return RingTable(spec, relations, basis, reduction)
 
 
-class RingCache:
-    """In-memory table cache; the disk layer lives in the cache module."""
-
-    def __init__(self):
-        self._tables: dict[tuple[int, int], RingTable] = {}
-
-    def get(self, spec: RingSpec) -> RingTable:
-        key = (spec.n, spec.k)
-        table = self._tables.get(key)
-        if table is None:
-            table = build_ring(spec)
-            self._tables[key] = table
-        return table
-
-
-DEFAULT_CACHE = RingCache()
-
-
-def get_table(spec: RingSpec, cache: RingCache | None = None) -> RingTable:
-    """Table lookup through the given cache, or the process-wide default."""
-    return (cache if cache is not None else DEFAULT_CACHE).get(spec)
+def __getattr__(name):
+    # perfbench/ reads rings.RingCache and rings.DEFAULT_CACHE; the one
+    # table cache lives in the cache module, which imports this one
+    if name in ("RingCache", "DEFAULT_CACHE"):
+        from . import cache
+        return getattr(cache, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
+from .cache import RingCache, get_table
 from .groebner import (
     BudgetExceeded,
     Budgets,
@@ -53,7 +54,7 @@ from .groebner import (
 from .linalg import clear_denominators, integer_rref
 from .maps import GradedHom, check_well_defined, compose, compose_alpha_beta, hom_to_dict
 from .polynomials import Polynomial, mono_degree
-from .rings import RingCache, RingSpec, generator_element, get_table, grassmann_relations
+from .rings import RingSpec, generator_element, grassmann_relations
 
 CERT_SCHEMA = "grasscohom.rigidity-certificate/1"
 

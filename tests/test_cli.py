@@ -8,7 +8,7 @@ import pytest
 
 import grasscohom.cache
 import grasscohom.cli as cli
-from grasscohom.cache import DiskRingCache
+from grasscohom.cache import RingCache
 from grasscohom.cli import main
 from grasscohom.rings import RingSpec
 
@@ -202,7 +202,7 @@ def test_replay_missing_and_malformed_files(capsys, tmp_path):
 
 def test_corrupt_cache_exit_code(capsys, tmp_path):
     run_cli(capsys, "ring", "4", "2", "--cache-dir", str(tmp_path))
-    target = DiskRingCache(tmp_path).path_for(RingSpec(4, 2))
+    target = RingCache(tmp_path).path_for(RingSpec(4, 2))
     assert target.exists()
     target.write_text("garbage")
     code, _, err = run_cli(capsys, "ring", "4", "2",

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grasscohom.rings as rings
+from grasscohom.cache import RingCache, get_table
 from grasscohom.polynomials import Polynomial, parse_polynomial
 from grasscohom.rings import (
-    RingCache,
     RingElement,
     RingSpec,
     box_partition_count,
@@ -16,7 +16,6 @@ from grasscohom.rings import (
     freeness_check,
     gaussian_binomial,
     generator_element,
-    get_table,
     grassmann_relations,
     hilbert_check,
     nilpotency_degree,
