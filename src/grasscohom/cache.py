@@ -5,6 +5,14 @@ it has a directory, and otherwise builds it; without a directory it never
 touches the disk.  `get_table` uses the memory-only `DEFAULT_CACHE` when
 no cache is passed.
 
+`get(spec, through=c)` asks for degrees 0..c only (see `rings` for cut
+tables).  Any table in memory that holds those degrees serves it;
+otherwise the cut table is built cold and kept in memory, and the
+directory is neither read nor written: a cut build of a certify target
+takes a few ms, less than a warm load of the complete table.  A request
+without `through` is never served by a cut table, so the directory holds
+complete tables only (`ring`, `verify-facts`).
+
 A table file, `ring-N-K.v2.json`, is exactly `{"checksum":"`, 64 lowercase
 hex digits, `","table":`, the canonical JSON payload (`rings.table_to_dict`
 with sorted keys and no whitespace) and `}`.  The checksum is the sha256
@@ -137,20 +145,26 @@ class RingCache:
             raise CacheIntegrityError(f"cannot write {path}: {err}") from err
         self.bytes_written += len(data)
 
-    def get(self, spec: RingSpec) -> RingTable:
+    def get(self, spec: RingSpec, through: int | None = None) -> RingTable:
+        """The table of `spec`, complete or holding at least degrees
+        0..through."""
         key = (spec.n, spec.k)
         table = self._tables.get(key)
-        if table is not None:
+        if table is not None and table.covers(through):
             self.memory_hits += 1
             return table
-        table = self._load_disk(spec) if self.directory is not None else None
-        if table is not None:
-            self.disk_hits += 1
-        else:
+        if through is not None:
             self.misses += 1
-            table = build_ring(spec)
-            if self.directory is not None:
-                self._store_disk(spec, table)
+            table = build_ring(spec, through)
+        else:
+            table = self._load_disk(spec) if self.directory is not None else None
+            if table is not None:
+                self.disk_hits += 1
+            else:
+                self.misses += 1
+                table = build_ring(spec)
+                if self.directory is not None:
+                    self._store_disk(spec, table)
         self._tables[key] = table
         return table
 
@@ -161,6 +175,7 @@ DiskRingCache = RingCache
 DEFAULT_CACHE = RingCache()
 
 
-def get_table(spec: RingSpec, cache: RingCache | None = None) -> RingTable:
+def get_table(spec: RingSpec, cache: RingCache | None = None,
+              through: int | None = None) -> RingTable:
     """Table lookup through the given cache, or the process-wide default."""
-    return (cache if cache is not None else DEFAULT_CACHE).get(spec)
+    return (cache if cache is not None else DEFAULT_CACHE).get(spec, through)

@@ -20,6 +20,7 @@ inconclusive tuples, and aborts on the first witness.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -281,7 +282,9 @@ def cmd_replay(args, cache: RingCache) -> int:
     return EXIT_OK if match else EXIT_FAILED_FACT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh namespace per call
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (scan always emits NDJSON)")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cache import RingCache, get_table
 from .linalg import clear_denominators, rank_exact
 from .polynomials import Polynomial, parse_polynomial
-from .rings import RingElement, RingSpec
+from .rings import RingElement, RingSpec, grassmann_relations
 
 HOM_SCHEMA = "grasscohom.graded-hom/1"
 
@@ -153,10 +153,12 @@ def check_well_defined(h: GradedHom,
                        cache: RingCache | None = None) -> WellDefinedReport:
     """A graded hom is well defined iff every source relation maps to zero
     in the target; on failure the offending relation and its nonzero image
-    are returned as the witness."""
-    source_ring = get_table(h.source, cache)
-    for idx, rel in enumerate(source_ring.relations):
-        image = apply_hom_poly(h, rel, cache)
+    are returned as the witness.  The relations live in degrees <= n of
+    the source G(n,k), so the target is read through degree n only."""
+    target_ring = get_table(h.target, cache, through=h.source.n)
+    images = list(h.images)
+    for idx, rel in enumerate(grassmann_relations(h.source)):
+        image = RingElement(target_ring, rel.substitute(images))
         if not image.is_zero():
             return WellDefinedReport(False, idx, rel.to_text(), image)
     return WellDefinedReport(True)
@@ -167,7 +169,7 @@ def degree_matrix(h: GradedHom, r: int,
     """Rows: images of the source degree-r basis in target coordinates."""
     source_ring = get_table(h.source, cache)
     rows = []
-    for mono in source_ring.basis.get(r, []):
+    for mono in source_ring.degree_basis(r):
         img = apply_hom_poly(h, Polynomial.monomial(mono), cache)
         rows.append(img.coords(r))
     return rows
@@ -207,17 +209,6 @@ def rank_profile(h: GradedHom,
         rank = _matrix_rank(degree_matrix(h, r, cache))
         out.append(DegreeRank(r, source_ring.betti(r), target_ring.betti(r), rank))
     return out
-
-
-def surjective_every_degree(h: GradedHom,
-                            cache: RingCache | None = None) -> bool:
-    return all(e.surjective for e in rank_profile(h, cache))
-
-
-def bijective_through_degree(h: GradedHom, bound: int,
-                             cache: RingCache | None = None) -> bool:
-    profile = rank_profile(h, cache)
-    return all(e.bijective for e in profile if e.degree <= bound)
 
 
 def compose_alpha_beta(m: int, l: int, n: int, k: int,

@@ -36,6 +36,15 @@ as it converts (relations, section count, exponent vectors, basis sizes,
 pivots, indices, coefficient types) and raises ValueError on a mismatch.
 `cache.RingCache` is the one table cache: memory-only unless given a
 directory, where it stores these payloads checksummed over their bytes.
+
+A cut table, `build_ring(spec, through=c)` with c < dim, reduces degrees
+0..c only, with the same per-degree checks; the window and top-degree
+checks need the whole ring and run only on a complete table.  A graded
+map G(n,k) -> G(m,l) needs the target only in degrees <= n, where the
+source relations live, so certify and its relatives ask for no more.  A
+cut table refuses (ValueError) to read any degree in (c, dim]: reductions,
+Betti numbers, coordinates, the top coefficient and serialization all
+raise there instead of reading zero, and degrees above dim still vanish.
 """
 
 from __future__ import annotations
@@ -320,15 +329,24 @@ class RingTable:
     order; reduction[r] rewrites each non-basis monomial of degree r as
     {basis monomial: coefficient}.  All coefficients come out integral for
     these ideals; the code tolerates Fractions.
+
+    A table holds degrees 0..through.  A complete table (through = dim) is
+    checked in its top degree on construction.  A cut table (through <
+    dim) refuses every read of a degree in (through, dim] with ValueError
+    rather than reading it as zero; degrees above dim still vanish.
     """
 
-    __slots__ = ("spec", "relations", "basis", "reduction", "top_unit")
+    __slots__ = ("spec", "relations", "basis", "reduction", "top_unit", "through")
 
-    def __init__(self, spec, relations, basis, reduction):
+    def __init__(self, spec, relations, basis, reduction, through=None):
         self.spec = spec
         self.relations = relations
         self.basis = basis
         self.reduction = reduction
+        self.through = spec.dim if through is None else min(through, spec.dim)
+        self.top_unit = None
+        if not self.complete:
+            return
         top = self.basis[spec.dim]
         if len(top) != 1:
             raise ValueError(f"top degree of {spec} is not rank 1")
@@ -340,6 +358,25 @@ class RingTable:
             raise ValueError(f"ck^(n-k) vanishes in top degree of {spec}")
         self.top_unit = coeff
 
+    @property
+    def complete(self) -> bool:
+        return self.through == self.spec.dim
+
+    def covers(self, through: int | None = None) -> bool:
+        """True if the table holds degrees 0..through (None: every degree)."""
+        d = self.spec.dim
+        return self.through >= (d if through is None else min(through, d))
+
+    def _has_degree(self, r: int) -> bool:
+        """True if degree r is stored, False if the ring vanishes there;
+        ValueError if the cut dropped it."""
+        if r > self.through:
+            if r <= self.spec.dim:
+                raise ValueError(f"{self.spec} table is cut at degree "
+                                 f"{self.through}; degree {r} was not built")
+            return False
+        return r >= 0
+
     def _reduce_monomial(self, exps):
         r = sum((i + 1) * e for i, e in enumerate(exps))
         red = self.reduction[r].get(exps)
@@ -347,14 +384,16 @@ class RingTable:
             return red
         return {exps: 1}
 
+    def degree_basis(self, r: int) -> list:
+        """basis[r], empty outside 0..dim."""
+        return self.basis[r] if self._has_degree(r) else []
+
     def betti(self, r: int) -> int:
-        if r < 0 or r > self.spec.dim:
-            return 0
-        return len(self.basis[r])
+        return len(self.degree_basis(r))
 
     @property
     def betti_numbers(self) -> list[int]:
-        return [len(self.basis[r]) for r in range(self.spec.dim + 1)]
+        return [self.betti(r) for r in range(self.spec.dim + 1)]
 
     @property
     def total_rank(self) -> int:
@@ -366,11 +405,11 @@ class RingTable:
             raise ValueError(
                 f"polynomial has {poly.nvars} generators, ring expects {self.spec.k}"
             )
-        d = self.spec.dim
+        cut = self.through
         out: dict = {}
         for exps, coeff in poly.terms.items():
             r = sum((i + 1) * e for i, e in enumerate(exps))
-            if r > d:
+            if r > cut and not self._has_degree(r):
                 continue
             red = self.reduction[r].get(exps)
             if red is None:
@@ -389,21 +428,25 @@ class RingTable:
         return out
 
 
-def build_ring(spec: RingSpec) -> RingTable:
+def build_ring(spec: RingSpec, through: int | None = None) -> RingTable:
     """Construct basis and reduction data by exact row reduction of every
-    ideal slice, then certify the vanishing window above the top degree.
+    ideal slice of degree 0..through (default: the top degree dim), then,
+    for a complete table, certify the vanishing window above the top.
 
     The basis in each degree consists of the non-pivot monomials; its size
     is checked against the box-partition count and the q-binomial, two
-    independently computed predictions.
+    independently computed predictions.  Each degree is reduced on its
+    own, so a cut table agrees with the complete one in every degree it
+    holds.
     """
     k = spec.k
     d = spec.dim
+    cut = d if through is None else min(through, d)
     relations = grassmann_relations(spec)
     gauss = gaussian_binomial(spec.n, k)
     basis: dict[int, list] = {}
     reduction: dict[int, dict] = {}
-    for r in range(0, d + 1):
+    for r in range(0, cut + 1):
         rows, monos, _ = ideal_slice(relations, k, r)
         reduced, free_cols = integer_rref(rows, len(monos))
         expected = box_partition_count(r, k, spec.n - k)
@@ -422,12 +465,13 @@ def build_ring(spec: RingSpec) -> RingTable:
                 entry[monos[j]] = int(c) if c.denominator == 1 else c
             table[monos[piv]] = entry
         reduction[r] = table
-    # vanishing window: degrees d+1 .. d+k have no quotient left
-    for r in range(d + 1, d + k + 1):
-        rows, monos, _ = ideal_slice(relations, k, r)
-        if not _slice_rank_certified(rows, len(monos), len(monos)):
-            raise AssertionError(f"{spec}: window degree {r} fails to vanish")
-    return RingTable(spec, relations, basis, reduction)
+    if cut == d:
+        # vanishing window: degrees d+1 .. d+k have no quotient left
+        for r in range(d + 1, d + k + 1):
+            rows, monos, _ = ideal_slice(relations, k, r)
+            if not _slice_rank_certified(rows, len(monos), len(monos)):
+                raise AssertionError(f"{spec}: window degree {r} fails to vanish")
+    return RingTable(spec, relations, basis, reduction, cut)
 
 
 class RingElement:
@@ -535,11 +579,11 @@ class RingElement:
     def coords(self, r: int) -> list:
         """Coefficient vector over basis[r] (zero-padded)."""
         row = self.graded_component(r).terms
-        return [row.get(b, 0) for b in self.ring.basis[r]]
+        return [row.get(b, 0) for b in self.ring.degree_basis(r)]
 
     def top_coefficient(self):
         """Coefficient of ck^(n-k) in the top-degree component."""
-        top_mono = self.ring.basis[self.ring.spec.dim][0]
+        top_mono = self.ring.degree_basis(self.ring.spec.dim)[0]
         coeff = self.graded_component(self.ring.spec.dim).terms.get(top_mono, 0)
         if coeff == 0:
             return 0
@@ -578,10 +622,10 @@ def pairing_matrix(ring: RingTable, r: int) -> list[list]:
     if not 0 <= r <= d:
         raise ValueError(f"degree {r} outside [0, {d}]")
     rows = []
-    for a in ring.basis[r]:
+    for a in ring.degree_basis(r):
         ea = RingElement(ring, Polynomial.monomial(a))
         row = []
-        for b in ring.basis[d - r]:
+        for b in ring.degree_basis(d - r):
             eb = RingElement(ring, Polynomial.monomial(b))
             row.append((ea * eb).top_coefficient())
         rows.append(row)
@@ -629,11 +673,11 @@ def table_to_dict(ring: RingTable) -> dict:
     order, and `reduction`, one `[pivot, [[basis index, coeff], ...]]`
     entry per non-basis monomial, sorted by the pivot's grevlex key, with
     terms sorted by basis index.  A coefficient is a JSON int, or a "p/q"
-    string for a non-integral Fraction."""
+    string for a non-integral Fraction.  A cut table raises ValueError."""
     spec = ring.spec
     degrees = []
     for r in range(spec.dim + 1):
-        basis = ring.basis[r]
+        basis = ring.degree_basis(r)
         index = {b: i for i, b in enumerate(basis)}
         reduction = [
             [list(piv), [[i, _coeff_to_json(c)]

@@ -15,11 +15,10 @@ import time
 from grasscohom.groebner import buchberger, reduce_poly
 from grasscohom.maps import (
     GradedHom,
-    bijective_through_degree,
     check_well_defined,
+    rank_profile,
     restriction_i,
     restriction_j,
-    surjective_every_degree,
 )
 from grasscohom.polynomials import Polynomial, monomials_of_degree
 from grasscohom.rings import (
@@ -107,29 +106,32 @@ def test_acceptance_top_power_identity(capsys, tables):
     assert ok, detail
 
 
-def test_acceptance_restriction_maps(capsys, tables):
+def _restriction_sweep(n_max, cache):
+    """(maps checked, failures) for both restriction maps onto every
+    G(n,k) with n <= n_max; one rank profile per map gives both the
+    surjectivity and the isomorphism range."""
     failures = []
     pairs = 0
-    for n in range(2, 9):
+    for n in range(2, n_max + 1):
         for k in range(1, n):
             pairs += 1
             spec = RingSpec(n, k)
+            for name, h, bound in (("i*", restriction_i(n, k), n - k),
+                                   ("j*", restriction_j(n, k), k)):
+                if not check_well_defined(h, cache).ok:
+                    failures.append(f"{name} onto {spec} not well defined")
+                    continue
+                profile = rank_profile(h, cache)
+                if not all(e.surjective for e in profile):
+                    failures.append(f"{name} onto {spec} not surjective")
+                elif not all(e.bijective for e in profile if e.degree <= bound):
+                    failures.append(f"{name} onto {spec} not iso through "
+                                    f"degree {bound}")
+    return pairs, failures
 
-            h = restriction_i(n, k)  # (n+1,k) -> (n,k)
-            if not check_well_defined(h, tables).ok:
-                failures.append(f"i* onto {spec} not well defined")
-            elif not surjective_every_degree(h, tables):
-                failures.append(f"i* onto {spec} not surjective")
-            elif not bijective_through_degree(h, n - k, tables):
-                failures.append(f"i* onto {spec} not iso through degree {n - k}")
 
-            j = restriction_j(n, k)  # (n+1,k+1) -> (n,k)
-            if not check_well_defined(j, tables).ok:
-                failures.append(f"j* onto {spec} not well defined")
-            elif not surjective_every_degree(j, tables):
-                failures.append(f"j* onto {spec} not surjective")
-            elif not bijective_through_degree(j, k, tables):
-                failures.append(f"j* onto {spec} not iso through degree {k}")
+def test_acceptance_restriction_maps(capsys, tables):
+    pairs, failures = _restriction_sweep(8, tables)
     ok = not failures
     detail = (f"both restriction maps onto all {pairs} rings with n <= 8 are "
               "well defined, surjective in every degree, and isomorphisms "
@@ -138,6 +140,20 @@ def test_acceptance_restriction_maps(capsys, tables):
         detail = "; ".join(failures[:4])
     _report(capsys, "restriction-maps", ok, detail)
     assert ok, detail
+
+
+def test_restriction_sweep_ranks_each_map_once(monkeypatch, tables):
+    calls = []
+    original = rank_profile
+
+    def counting(h, cache=None):
+        calls.append((h.source, h.target))
+        return original(h, cache)
+
+    monkeypatch.setitem(globals(), "rank_profile", counting)
+    pairs, failures = _restriction_sweep(5, tables)
+    assert not failures
+    assert len(calls) == 2 * pairs == len(set(calls))
 
 
 def test_acceptance_rigidity_certificates(capsys, tables):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import grasscohom.cache as cache_module
+import grasscohom.rings as rings_module
 from grasscohom.cache import (
     ENV_CACHE_DIR,
     CacheIntegrityError,
@@ -305,3 +306,69 @@ def test_cached_table_matches_fresh_build(tmp_path):
     assert stored.betti_numbers == fresh.betti_numbers
     reloaded = RingCache(tmp_path).get(spec)
     assert reloaded.basis == fresh.basis
+
+
+
+def _sliced_degrees(monkeypatch):
+    """Degrees handed to `ideal_slice` from now on, in order."""
+    degrees = []
+    original = rings_module.ideal_slice
+
+    def recording(relations, k, r):
+        degrees.append(r)
+        return original(relations, k, r)
+
+    monkeypatch.setattr(rings_module, "ideal_slice", recording)
+    return degrees
+
+
+def test_full_get_after_a_cut_get_is_complete_and_checked(monkeypatch):
+    spec = RingSpec(8, 3)
+    store = RingCache()
+    sliced = _sliced_degrees(monkeypatch)
+    cut = store.get(spec, through=5)
+    assert cut.through == 5
+    assert sliced == list(range(6))
+
+    del sliced[:]
+    full = store.get(spec)
+    assert full is not cut
+    assert full.complete
+    assert full.top_unit is not None
+    # degrees 0..dim, then the vanishing window dim+1..dim+k
+    assert sliced == list(range(spec.dim + spec.k + 1))
+    assert store.get(spec, through=5) is full
+    assert (store.misses, store.memory_hits) == (2, 1)
+
+
+def test_deeper_cut_request_builds_the_deeper_cut():
+    spec = RingSpec(8, 3)
+    store = RingCache()
+    shallow = store.get(spec, through=4)
+    assert store.get(spec, through=3) is shallow
+    deeper = store.get(spec, through=9)
+    assert deeper.through == 9
+    assert store.get(spec, through=9) is deeper
+    assert store.get(spec, through=7) is deeper
+    with pytest.raises(ValueError):
+        deeper.betti(10)
+    assert (store.misses, store.memory_hits) == (2, 3)
+
+
+def test_cut_requests_never_touch_the_directory(tmp_path, monkeypatch):
+    spec = RingSpec(6, 2)
+    RingCache(tmp_path).get(spec)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def refuse(self, *args):
+        raise AssertionError("the directory was touched")
+
+    monkeypatch.setattr(RingCache, "_load_disk", refuse)
+    monkeypatch.setattr(RingCache, "_store_disk", refuse)
+    store = RingCache(tmp_path)
+    assert store.get(spec, through=3).through == 3
+    # a cut at or above the top degree is complete, and still built cold
+    assert store.get(RingSpec(5, 2), through=6).complete
+    assert store.disk_hits == 0
+    assert store.misses == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

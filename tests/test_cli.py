@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import grasscohom.cache
 import grasscohom.cli as cli
 from grasscohom.cache import RingCache
 from grasscohom.cli import main
@@ -219,20 +219,85 @@ def test_cache_reuse_gives_identical_output(capsys, tmp_path):
     assert first == second
 
 
+def _snapshot(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _fail_on_disk_read(self, spec):
+    raise AssertionError(f"{spec} was read from the cache directory")
+
+
 @pytest.mark.parametrize("argv", [("2", "3", "14", "8"), ("1", "3", "9", "2")])
 def test_warm_certify_prints_the_cold_bytes(capsys, tmp_path, monkeypatch, argv):
     cold = run_cli(capsys, "certify", *argv, "--cache-dir", str(tmp_path))
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"ring-{n}-{k}.v2.json" for n, k in {(int(argv[3]), int(argv[0])),
-                                             (int(argv[2]), int(argv[1]))})
+    # certify builds the target degrees it uses in memory and writes nothing
+    assert _snapshot(tmp_path) == {}
 
-    def no_build(spec):
-        raise AssertionError(f"{spec} was rebuilt, not read from the cache")
-
-    monkeypatch.setattr(grasscohom.cache, "build_ring", no_build)
+    # a directory holding both complete tables is neither read nor changed
+    k, l, m, n = map(int, argv)
+    store = RingCache(tmp_path)
+    store.get(RingSpec(n, k))
+    store.get(RingSpec(m, l))
+    before = _snapshot(tmp_path)
+    assert len(before) == 2
+    monkeypatch.setattr(RingCache, "_load_disk", _fail_on_disk_read)
     warm = run_cli(capsys, "certify", *argv, "--cache-dir", str(tmp_path))
     assert cold[0] == 0
     assert warm == cold
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("start", ["empty", "prefilled", "corrupt"])
+def test_certify_and_replay_leave_the_cache_dir_unchanged(capsys, tmp_path, start):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    store = RingCache(tables)
+    if start == "prefilled":
+        store.get(RingSpec(8, 2))
+        store.get(RingSpec(14, 3))
+    elif start == "corrupt":
+        store.path_for(RingSpec(14, 3)).write_text("garbage")
+    before = _snapshot(tables)
+
+    code, out, _ = run_cli(capsys, "certify", "2", "3", "14", "8",
+                           "--format", "json", "--cache-dir", str(tables))
+    assert code == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, out, _ = run_cli(capsys, "replay-cert", str(cert),
+                           "--format", "json", "--cache-dir", str(tables))
+    assert code == 0
+    assert json.loads(out)["match"] is True
+    assert _snapshot(tables) == before
+
+    if start == "corrupt":
+        # a command that reads complete tables still refuses the file
+        code, _, err = run_cli(capsys, "ring", "14", "3", "--cache-dir", str(tables))
+        assert code == 3
+        assert "cache integrity" in err
+
+
+def _fresh_interpreter(argv, hash_seed="0"):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "grasscohom", *argv],
+                          capture_output=True, env=env, timeout=300)
+
+
+def test_consecutive_calls_share_no_parsed_state(capsys, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    calls = [
+        ("certify", "2", "3", "9", "5", "--format", "json", "--budget-steps", "50"),
+        ("certify", "2", "3", "9", "5"),
+        ("ring", "4", "2"),
+        ("certify", "2", "3", "9", "5", "--format", "json"),
+    ]
+    for i, argv in enumerate(calls):
+        argv = (*argv, "--cache-dir", str(tmp_path / str(i)))
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = _fresh_interpreter(argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout.decode())
 
 
 def test_module_entry_point(tmp_path):
@@ -244,21 +309,29 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["total_rank"] == 6
 
 
-@pytest.mark.parametrize("argv", [("conjecture", "7", "3"), ("certify", "3", "4", "9", "7")])
-def test_json_output_is_independent_of_hash_seed(tmp_path, argv):
-    src = str(Path(cli.__file__).resolve().parents[1])
+# Each digest is the sha256 of the whole stdout of
+#   PYTHONHASHSEED=0 python -m grasscohom ARGV --format json --cache-dir <fresh empty dir>
+# run from a checkout with src/ on PYTHONPATH.
+@pytest.mark.parametrize("argv, digest, writes_tables", [
+    (("conjecture", "7", "3"),
+     "2514b4ab3f01a051dd869557f94765e6c4d803887eea3a4b0125fc4cb3594308", False),
+    (("certify", "3", "4", "9", "7"),
+     "0381938547604f59f670092efccf550c5fcfe387e8e7bbdaacdcafa0d2a280f5", False),
+    (("verify-facts", "6", "3"),
+     "e5cbe10597e394bee5b9e3c48d87669aa9978915da8a7819863fbe4f7ebabafd", True),
+], ids=["argv0", "argv1", "argv2"])
+def test_json_output_is_independent_of_hash_seed(tmp_path, argv, digest, writes_tables):
     outputs = []
     for seed in ("0", "1"):
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "grasscohom", *argv, "--format", "json",
-             "--cache-dir", str(tmp_path / seed)],
-            capture_output=True, env=env, timeout=300)
+        proc = _fresh_interpreter(
+            [*argv, "--format", "json", "--cache-dir", str(tmp_path / seed)], seed)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])
-    tables = [{p.name: p.read_bytes() for p in (tmp_path / seed).iterdir()}
+    assert hashlib.sha256(outputs[0]).hexdigest() == digest
+    # cut tables are never written; complete ones match across hash seeds
+    tables = [_snapshot(tmp_path / seed) if (tmp_path / seed).exists() else {}
               for seed in ("0", "1")]
-    assert tables[0] and tables[0] == tables[1]
+    assert bool(tables[0]) == writes_tables
+    assert tables[0] == tables[1]

@@ -7,7 +7,6 @@ from grasscohom.maps import (
     _matrix_rank,
     GradedHom,
     apply_hom,
-    bijective_through_degree,
     check_well_defined,
     compose,
     compose_alpha_beta,
@@ -17,7 +16,6 @@ from grasscohom.maps import (
     rank_profile,
     restriction_i,
     restriction_j,
-    surjective_every_degree,
     zero_hom,
 )
 from grasscohom.polynomials import Polynomial, parse_polynomial
@@ -67,12 +65,11 @@ def test_subspace_restriction_drops_last_generator(tables):
 def test_restriction_surjective_and_iso_in_range(tables):
     h = restriction_i(4, 2)  # (5,2) -> (4,2)
     assert check_well_defined(h, tables).ok
-    assert surjective_every_degree(h, tables)
-    # iso through complex degree n - k of the target, here 2
-    assert bijective_through_degree(h, 2, tables)
-    assert not bijective_through_degree(h, 3, tables)
     profile = rank_profile(h, tables)
     assert all(entry.surjective for entry in profile)
+    # iso through complex degree n - k of the target, here 2
+    assert all(entry.bijective for entry in profile if entry.degree <= 2)
+    assert not all(entry.bijective for entry in profile if entry.degree <= 3)
     by_degree = {entry.degree: entry for entry in profile}
     assert by_degree[2].rank == by_degree[2].source_betti == 2
     # one dimension is lost at degree 3, so the map is onto but not 1-1
@@ -83,7 +80,8 @@ def test_restriction_surjective_and_iso_in_range(tables):
 def test_subspace_restriction_iso_range(tables):
     j = restriction_j(8, 4)  # (9,5) -> (8,4)
     assert check_well_defined(j, tables).ok
-    assert bijective_through_degree(j, 4, tables)
+    assert all(entry.bijective for entry in rank_profile(j, tables)
+               if entry.degree <= 4)
 
 
 def test_broken_map_reports_witness(tables):

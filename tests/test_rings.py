@@ -274,6 +274,51 @@ def test_non_canonical_spec_builds():
     assert ring.total_rank == 4
 
 
+def test_cut_table_refuses_degrees_above_the_cut():
+    cut = build_ring(RingSpec(14, 3), through=13)
+    assert cut.through == 13
+    assert not cut.complete
+    empty = RingElement(cut, {})
+    for r in range(14, 34):
+        with pytest.raises(ValueError):
+            cut.normal_form_terms(Polynomial.generator(3, 0, r))
+        with pytest.raises(ValueError):
+            cut.betti(r)
+        with pytest.raises(ValueError):
+            empty.coords(r)
+    # beyond the top degree the ring vanishes, cut or not
+    for r in (34, 35, 40):
+        assert cut.normal_form_terms(Polynomial.generator(3, 0, r)) == {}
+        assert cut.betti(r) == 0
+        assert empty.coords(r) == []
+    with pytest.raises(ValueError):
+        generator_element(cut, 0).top_coefficient()
+    with pytest.raises(ValueError):
+        cut.betti_numbers
+    with pytest.raises(ValueError):
+        table_to_dict(cut)
+
+
+def test_cut_table_matches_the_complete_one(tables):
+    full = tables.get(RingSpec(14, 3))
+    cut = build_ring(RingSpec(14, 3), through=13)
+    assert sorted(cut.basis) == sorted(cut.reduction) == list(range(14))
+    for r in range(14):
+        assert cut.basis[r] == full.basis[r]
+        assert cut.reduction[r] == full.reduction[r]
+        assert cut.betti(r) == full.betti(r)
+    probe = parse_polynomial("c1^4 - c1*c2 + 3*c2^2*c3 + c3^4", 3)
+    assert cut.normal_form_terms(probe) == full.normal_form_terms(probe)
+
+
+def test_cut_at_or_above_the_top_is_complete():
+    ring = build_ring(RingSpec(4, 2), through=9)
+    assert ring.complete
+    assert ring.through == 4
+    assert ring.top_unit is not None
+    assert ring.betti_numbers == [1, 1, 2, 1, 1]
+
+
 # -- serialization and caching ------------------------------------------
 
 def _coefficient_types(table):
