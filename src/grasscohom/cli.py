@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from .cache import CacheIntegrityError, RingCache, default_cache_dir
 from .groebner import Budgets
@@ -119,7 +120,7 @@ def cmd_verify_facts(args, cache: RingCache) -> int:
     table = cache.get(spec)
     facts = []
 
-    freeness = freeness_check(spec, seed=args.seed)
+    freeness = freeness_check(spec)
     facts.append((
         "hilbert-series", freeness.hilbert_ok,
         f"graded ranks match the Gaussian binomial [{n} {k}]_q"))
@@ -256,7 +257,7 @@ def cmd_conjecture(args, cache: RingCache) -> int:
 
 def cmd_replay(args, cache: RingCache) -> int:
     try:
-        raw = open(args.path, "r", encoding="utf-8").read()
+        raw = Path(args.path).read_text(encoding="utf-8")
     except OSError as err:
         print(f"cannot read certificate: {err}", file=sys.stderr)
         return EXIT_INVALID_PARAMETERS
@@ -295,8 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="use the strict form of the quadratic hypothesis")
     common.add_argument("--budget-steps", type=int, default=1_000_000,
                         help="step budget for the polynomial solver")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized freeness verification")
 
     parser = argparse.ArgumentParser(
         prog="grasscohom",

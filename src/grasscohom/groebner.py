@@ -33,6 +33,8 @@ from .polynomials import (
     mono_quotient,
 )
 
+_STAIRCASE_CAP = 4096  # staircase entries before a solve turns inconclusive
+
 
 @dataclass(frozen=True)
 class Budgets:
@@ -234,11 +236,11 @@ def is_zero_dimensional(gb: list[Polynomial], nvars: int) -> bool:
     return all(covered)
 
 
-def staircase(gb: list[Polynomial], nvars: int, cap: int = 4096) -> list[tuple]:
+def staircase(gb: list[Polynomial], nvars: int) -> list[tuple]:
     """Monomials outside the leading-term ideal, for a zero-dim gb.
 
-    Raises BudgetExceeded past `cap` entries (callers treat that as an
-    inconclusive solve, not an error).
+    Raises BudgetExceeded past `_STAIRCASE_CAP` entries (callers treat that
+    as an inconclusive solve, not an error).
     """
     leads = [leading_term(p)[0] for p in gb]
     seen = set()
@@ -253,7 +255,7 @@ def staircase(gb: list[Polynomial], nvars: int, cap: int = 4096) -> list[tuple]:
                 continue
             seen.add(e)
             out.append(e)
-            if len(out) > cap:
+            if len(out) > _STAIRCASE_CAP:
                 raise BudgetExceeded("staircase larger than cap")
             for i in range(nvars):
                 bumped = list(e)

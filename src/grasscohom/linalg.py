@@ -50,19 +50,9 @@ def normalize_row(row: Row) -> Row:
     return row
 
 
-def integer_rref(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]]:
-    """Reduced row echelon form over Q of an integer matrix, kept exact.
-
-    Returns (pivots, free_cols) where pivots maps each pivot column to a row
-    {free_col: Fraction} expressing  e_pivot = sum coeff * e_free  modulo the
-    row space, i.e. the pivot row rewritten as
-    pivot = -sum(coeff_free * free)  with the sign already folded in:
-    stored row gives pivot_monomial = sum(stored[j] * basis_monomial_j).
-
-    Forward phase is fraction-free (cross-multiplication, content division);
-    back-substitution introduces Fractions only at the end.
-    """
-    # forward elimination: keep one row per pivot column
+def _forward_echelon(rows: list[Row]) -> dict[int, Row]:
+    """Fraction-free forward elimination (cross-multiplication, content
+    division): one row per pivot column, keyed by its lead column."""
     echelon: dict[int, Row] = {}
     for raw in rows:
         row = {j: c for j, c in raw.items() if c}
@@ -88,6 +78,22 @@ def integer_rref(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]
                     new_row.pop(j, None)
             row = new_row
         # fully reduced to zero: dependent row, drop it
+    return echelon
+
+
+def integer_rref(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]]:
+    """Reduced row echelon form over Q of an integer matrix, kept exact.
+
+    Returns (pivots, free_cols) where pivots maps each pivot column to a row
+    {free_col: Fraction} expressing  e_pivot = sum coeff * e_free  modulo the
+    row space, i.e. the pivot row rewritten as
+    pivot = -sum(coeff_free * free)  with the sign already folded in:
+    stored row gives pivot_monomial = sum(stored[j] * basis_monomial_j).
+
+    Forward phase is `_forward_echelon`; back-substitution introduces
+    Fractions only at the end.
+    """
+    echelon = _forward_echelon(rows)
     # back-substitution, right-to-left, to clear pivot columns above
     free_cols = [j for j in range(ncols) if j not in echelon]
     free_set = set(free_cols)
@@ -328,9 +334,9 @@ def rank_lower_bound_certified(rows: list[Row], ncols: int, expected: int) -> bo
 
 
 def rank_exact(rows: list[Row], ncols: int) -> int:
-    """Rank over Q via the fraction-free forward phase of `integer_rref`."""
-    reduced, free_cols = integer_rref([dict(r) for r in rows], ncols)
-    return len(reduced)
+    """Rank over Q: the pivot count of `integer_rref`'s forward phase, with
+    no back-substitution."""
+    return len(_forward_echelon(rows))
 
 
 # -- cokernel freeness --------------------------------------------------
@@ -574,9 +580,3 @@ def cokernel_is_free(rows: list[Row], ncols: int, rank: int,
         if rank_p < need:
             return False
     return True
-
-
-def has_full_column_rank(rows: list[Row], ncols: int) -> bool:
-    """Certified full column rank: a mod-p full rank is conclusive (rank can
-    only drop mod p); any miss escalates to the exact computation."""
-    return rank_lower_bound_certified(rows, ncols, ncols)

@@ -18,12 +18,16 @@ The two restriction families are
 Composites of these realize the two legs used by the rigidity argument,
 and `compose_alpha_beta` cross-checks the chain against the direct
 generator-substitution description, so a miscounted chain cannot pass.
+
+`rank_profile` measures how far a map is onto or injective in each
+degree: it substitutes the images into every source basis monomial,
+reduces to the target's normal form, and ranks those forms as sparse
+integer rows over the target basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cache import RingCache, get_table
 from .linalg import clear_denominators, rank_exact
@@ -112,13 +116,6 @@ def apply_hom(h: GradedHom, x: RingElement,
     return RingElement(target_ring, substituted)
 
 
-def apply_hom_poly(h: GradedHom, poly: Polynomial,
-                   cache: RingCache | None = None) -> RingElement:
-    """Image of a raw source polynomial (no source reduction first)."""
-    target_ring = get_table(h.target, cache)
-    return RingElement(target_ring, poly.substitute(list(h.images)))
-
-
 def compose(g: GradedHom, h: GradedHom,
             cache: RingCache | None = None) -> GradedHom:
     """The composite x -> g(h(x)); h runs first.
@@ -164,25 +161,6 @@ def check_well_defined(h: GradedHom,
     return WellDefinedReport(True)
 
 
-def degree_matrix(h: GradedHom, r: int,
-                  cache: RingCache | None = None) -> list[list[Fraction]]:
-    """Rows: images of the source degree-r basis in target coordinates."""
-    source_ring = get_table(h.source, cache)
-    rows = []
-    for mono in source_ring.degree_basis(r):
-        img = apply_hom_poly(h, Polynomial.monomial(mono), cache)
-        rows.append(img.coords(r))
-    return rows
-
-
-def _matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    sparse = [clear_denominators({j: v for j, v in enumerate(row) if v})[0]
-              for row in rows]
-    return rank_exact(sparse, len(rows[0]))
-
-
 @dataclass(frozen=True)
 class DegreeRank:
     degree: int
@@ -201,13 +179,25 @@ class DegreeRank:
 
 def rank_profile(h: GradedHom,
                  cache: RingCache | None = None) -> list[DegreeRank]:
-    """Per-degree image ranks up to the target's top degree."""
+    """Per-degree image ranks up to the target's top degree.
+
+    Degree r's matrix has one sparse row per source basis monomial: the
+    normal form of its image, indexed by the target's basis[r] and scaled
+    to integers (scaling a row keeps the rank), ranked by `rank_exact`.
+    """
     source_ring = get_table(h.source, cache)
     target_ring = get_table(h.target, cache)
     out = []
     for r in range(target_ring.spec.dim + 1):
-        rank = _matrix_rank(degree_matrix(h, r, cache))
-        out.append(DegreeRank(r, source_ring.betti(r), target_ring.betti(r), rank))
+        column = {b: j for j, b in enumerate(target_ring.degree_basis(r))}
+        rows = []
+        for mono in source_ring.degree_basis(r):
+            image = target_ring.normal_form_terms(
+                Polynomial.monomial(mono).substitute(h.images))
+            rows.append(clear_denominators(
+                {column[b]: c for b, c in image.items()})[0])
+        out.append(DegreeRank(r, source_ring.betti(r), target_ring.betti(r),
+                              rank_exact(rows, len(column))))
     return out
 
 

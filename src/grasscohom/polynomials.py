@@ -1,9 +1,10 @@
 """Exact sparse polynomial arithmetic in the Chern generators c1..ck.
 
 A polynomial is a finite map from exponent tuples to nonzero exact
-coefficients (Python ints or Fractions; never floats).  The grading is the
-weighted one in which the generator ci has *complex* degree i; topological
-degrees (doubled) appear only at reporting boundaries, never here.
+coefficients (Python ints or Fractions; never floats).  There is one
+grading, fixed: the generator ci has *complex* degree i, so a monomial's
+degree is sum (i+1) * e_i.  Topological degrees (doubled) appear only at
+reporting boundaries, never here.
 
 Monomials are plain tuples of non-negative ints, one entry per generator.
 The canonical term order is graded reverse lexicographic on exponent
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponents = tuple  # exponent vector; entry i is the power of c_{i+1}
 
@@ -50,15 +51,13 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(exps: Exponents, weights: Sequence[int] | None = None) -> int:
-    """Weighted degree of a monomial; default weights are 1..k (deg ci = i)."""
-    if weights is None:
-        return sum((i + 1) * e for i, e in enumerate(exps))
-    return sum(w * e for w, e in zip(weights, exps))
+def mono_degree(exps: Exponents) -> int:
+    """Degree of a monomial, deg ci = i."""
+    return sum((i + 1) * e for i, e in enumerate(exps))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
-    """All exponent tuples of weighted degree `degree`, grevlex-descending.
+    """All exponent tuples of degree `degree`, grevlex-descending.
 
     These correspond to partitions of `degree` with parts at most `nvars`
     (entry i counts the parts equal to i+1).
@@ -145,29 +144,29 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Exponents, Coeff]]:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=reverse)
+    def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
+        """Terms in descending grevlex order."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def coefficient(self, exps: Exponents) -> Coeff:
         return self.terms.get(tuple(exps), 0)
 
-    def degrees(self, weights: Sequence[int] | None = None) -> set[int]:
-        return {mono_degree(e, weights) for e in self.terms}
+    def degrees(self) -> set[int]:
+        return {mono_degree(e) for e in self.terms}
 
-    def is_homogeneous(self, degree: int | None = None,
-                       weights: Sequence[int] | None = None) -> bool:
-        """True iff all terms share one weighted degree (the zero polynomial
-        is homogeneous of every degree)."""
-        degs = self.degrees(weights)
+    def is_homogeneous(self, degree: int | None = None) -> bool:
+        """True iff all terms share one degree (the zero polynomial is
+        homogeneous of every degree)."""
+        degs = self.degrees()
         if not degs:
             return True
         if degree is None:
             return len(degs) == 1
         return degs == {degree}
 
-    def max_degree(self, weights: Sequence[int] | None = None) -> int:
-        """Largest weighted degree of a term; -1 for the zero polynomial."""
-        return max(self.degrees(weights), default=-1)
+    def max_degree(self) -> int:
+        """Largest degree of a term; -1 for the zero polynomial."""
+        return max(self.degrees(), default=-1)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -260,27 +259,19 @@ class Polynomial:
 
     # -- grading and substitution --------------------------------------
 
-    def graded_component(self, degree: int,
-                         weights: Sequence[int] | None = None) -> "Polynomial":
-        """Sum of the terms of weighted degree `degree` (zero if none)."""
+    def graded_component(self, degree: int) -> "Polynomial":
+        """Sum of the terms of degree `degree` (zero if none)."""
         return Polynomial(
             self.nvars,
-            {e: c for e, c in self.terms.items() if mono_degree(e, weights) == degree},
+            {e: c for e, c in self.terms.items() if mono_degree(e) == degree},
         )
 
-    def graded_parts(self, weights: Sequence[int] | None = None) -> dict[int, "Polynomial"]:
-        parts: dict[int, dict[Exponents, Coeff]] = {}
-        for e, c in self.terms.items():
-            parts.setdefault(mono_degree(e, weights), {})[e] = c
-        return {r: Polynomial(self.nvars, t) for r, t in sorted(parts.items())}
-
-    def substitute(self, images: Sequence["Polynomial"], strict: bool = True) -> "Polynomial":
+    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace ci by images[i-1] and expand exactly.
 
-        All images must share one generator count (the target ring).  Under
-        `strict`, images[i-1] must be homogeneous of weighted degree i in the
-        target grading, so that substitution preserves degrees; pass
-        strict=False for coefficient rings with differently graded variables.
+        All images must share one generator count (the target ring), and
+        images[i-1] must be homogeneous of degree i, so that substitution
+        preserves degrees.
         """
         if len(images) != self.nvars:
             raise ValueError(
@@ -293,7 +284,7 @@ class Polynomial:
         for i, img in enumerate(images):
             if img.nvars != target_nvars:
                 raise ValueError("generator images live in different rings")
-            if strict and not img.is_homogeneous(i + 1):
+            if not img.is_homogeneous(i + 1):
                 raise ValueError(
                     f"image of c{i + 1} is not homogeneous of degree {i + 1}: "
                     f"{img.to_text()}"
@@ -432,7 +423,7 @@ def inverse_series(nvars: int, max_degree: int) -> list[Polynomial]:
 
     Returns [t0, t1, ..., t_max] with t0 = 1 and, for r >= 1,
     tr = -(c1*t_{r-1} + c2*t_{r-2} + ... + ck*t_{r-k}); each tr is
-    homogeneous of weighted degree r.  The linear recursion is equivalent to
+    homogeneous of degree r.  The linear recursion is equivalent to
     expanding the geometric series and collecting degrees, which the tests
     use as an independent oracle.
     """

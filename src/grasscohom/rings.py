@@ -289,8 +289,7 @@ class FreenessReport:
 
 
 def freeness_check(spec: RingSpec,
-                   relations: list[Polynomial] | None = None,
-                   seed: int = 0) -> FreenessReport:
+                   relations: list[Polynomial] | None = None) -> FreenessReport:
     """Certify that every graded piece of the quotient is free abelian.
 
     Per degree the certificate shows all Smith invariant factors of the
@@ -300,11 +299,15 @@ def freeness_check(spec: RingSpec,
     modulo each prime divisor (a torsion prime divides every maximal
     minor, so primes outside the gcd need no check).  The ranks come from
     the same pass as `hilbert_check`, whose verdict the report carries.
+
+    The minors are sampled from a fixed `Random(0x5eed)`: which minors are
+    drawn changes only how fast the gcd shrinks, never the verdict, since
+    every prime the gcd leaves is checked exactly.
     """
     if relations is None:
         relations = grassmann_relations(spec)
     gauss = gaussian_binomial(spec.n, spec.k)
-    rng = random.Random(seed or 0x5eed)
+    rng = random.Random(0x5eed)
     window_vanishes, ranks = _graded_ranks(spec, relations)
     entries = []
     for r, (rows, ncols, rank) in enumerate(ranks):
@@ -475,7 +478,11 @@ def build_ring(spec: RingSpec, through: int | None = None) -> RingTable:
 
 
 class RingElement:
-    """An element of a quotient ring, stored by its normal-form terms."""
+    """An element of a quotient ring, stored by its normal-form terms.
+
+    Sums, scalars and grading are `Polynomial`'s, reached through
+    `as_poly()`; this class keeps ring products, powers and coordinates.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -503,43 +510,10 @@ class RingElement:
     def __hash__(self):
         return hash((id(self.ring), frozenset(self.terms.items())))
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, 0) + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return RingElement(self.ring, terms)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, 0) - c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return RingElement(self.ring, terms)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RingElement(self.ring, {})
-            return RingElement(
-                self.ring, {e: c * other for e, c in self.terms.items()}
-            )
-        self._check(other)
-        product = self.as_poly() * other.as_poly()
-        return RingElement(self.ring, product)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "RingElement") -> "RingElement":
+        if self.ring is not other.ring:
+            raise ValueError("elements live in different rings")
+        return RingElement(self.ring, self.as_poly() * other.as_poly())
 
     def __pow__(self, power: int) -> "RingElement":
         if power < 0:
@@ -554,37 +528,14 @@ class RingElement:
                 base = base * base
         return result
 
-    def _check(self, other: "RingElement") -> None:
-        if self.ring is not other.ring:
-            raise ValueError("elements live in different rings")
-
-    def graded_component(self, r: int) -> "RingElement":
-        return RingElement(
-            self.ring,
-            {e: c for e, c in self.terms.items()
-             if sum((i + 1) * x for i, x in enumerate(e)) == r},
-        )
-
-    def degrees(self) -> set[int]:
-        return {sum((i + 1) * x for i, x in enumerate(e)) for e in self.terms}
-
-    def is_homogeneous(self, r: int | None = None) -> bool:
-        degs = self.degrees()
-        if not degs:
-            return True
-        if r is None:
-            return len(degs) == 1
-        return degs == {r}
-
     def coords(self, r: int) -> list:
         """Coefficient vector over basis[r] (zero-padded)."""
-        row = self.graded_component(r).terms
-        return [row.get(b, 0) for b in self.ring.degree_basis(r)]
+        return [self.terms.get(b, 0) for b in self.ring.degree_basis(r)]
 
     def top_coefficient(self):
         """Coefficient of ck^(n-k) in the top-degree component."""
         top_mono = self.ring.degree_basis(self.ring.spec.dim)[0]
-        coeff = self.graded_component(self.ring.spec.dim).terms.get(top_mono, 0)
+        coeff = self.terms.get(top_mono, 0)
         if coeff == 0:
             return 0
         value = Fraction(coeff) / Fraction(self.ring.top_unit)
@@ -641,7 +592,7 @@ def pairing_is_unimodular(ring: RingTable, r: int) -> bool:
 
 def nilpotency_degree(ring: RingTable, element: RingElement) -> int:
     """Least e >= 1 with element^e == 0; needs positive homogeneous degree."""
-    degs = element.degrees()
+    degs = element.as_poly().degrees()
     if not degs:
         return 1
     if len(degs) != 1 or min(degs) < 1:

@@ -521,20 +521,19 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
 
 
 def c1_vanishing_shortcut(source: RingSpec, target: RingSpec,
-                          cache: RingCache | None = None,
-                          verify: bool = True) -> bool:
+                          cache: RingCache | None = None) -> bool:
     """True when dim(source) < dim(target), which forces the degree-1
     generator to map to zero.
 
     The point: c1^(d+1) vanishes in the source (degree past the top) but
     not in the target, and the degree-1 image is a scalar multiple of c1,
     so that scalar must be nilpotent in Q, hence zero.  The source side
-    holds by grading; with `verify` the target power is actually computed,
-    in a table read through degree d+1 only.
+    holds by grading; the target side is always computed, in a table read
+    through degree d+1 only, and an unexpected zero raises AssertionError.
     """
     ds, dt = source.dim, target.dim
     holds = ds < dt
-    if holds and verify:
+    if holds:
         power = ds + 1
         tgt_c1 = generator_element(get_table(target, cache, through=power), 0)
         if (tgt_c1 ** power).is_zero():
@@ -771,6 +770,18 @@ def certify_rigidity(k: int, l: int, m: int, n: int,
     )
 
 
+def _int_fields(payload: dict, field: str, names: tuple[str, ...]) -> list[int]:
+    group = payload[field]
+    if not isinstance(group, dict):
+        raise ValueError(f"certificate field {field!r} is not an object")
+    values = [group.get(name) for name in names]
+    for name, value in zip(names, values):
+        if type(value) is not int:
+            raise ValueError(f"certificate field {field}.{name} is not an "
+                             f"integer: {value!r}")
+    return values
+
+
 def replay_certificate(payload: dict,
                        cache: RingCache | None = None
                        ) -> tuple[bool, list[str], RigidityCertificate]:
@@ -778,14 +789,22 @@ def replay_certificate(payload: dict,
 
     Returns (match, mismatched_fields, fresh_certificate); the solver is
     deterministic, so an honest certificate replays field for field.
+    Raises ValueError, naming the field, on a payload that is not a
+    certificate object or lacks an input the re-run needs (integer
+    parameters and budgets, a boolean `strict_inequality`).
     """
+    if not isinstance(payload, dict):
+        raise ValueError("certificate is not a JSON object")
     if payload.get("schema") != CERT_SCHEMA:
         raise ValueError(f"unsupported certificate schema: {payload.get('schema')!r}")
-    params = payload["parameters"]
-    budgets = Budgets(payload["budgets"]["max_steps"],
-                      payload["budgets"]["max_coeff_bytes"])
-    fresh = certify_rigidity(params["k"], params["l"], params["m"], params["n"],
-                             strict_inequality=payload["strict_inequality"],
+    for field in ("parameters", "budgets", "strict_inequality"):
+        if field not in payload:
+            raise ValueError(f"certificate has no {field!r} field")
+    if type(payload["strict_inequality"]) is not bool:
+        raise ValueError("certificate field 'strict_inequality' is not a boolean")
+    params = _int_fields(payload, "parameters", ("k", "l", "m", "n"))
+    budgets = Budgets(*_int_fields(payload, "budgets", ("max_steps", "max_coeff_bytes")))
+    fresh = certify_rigidity(*params, strict_inequality=payload["strict_inequality"],
                              budgets=budgets, cache=cache)
     fresh_dict = fresh.to_dict()
     mismatched = [key for key in fresh_dict

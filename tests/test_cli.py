@@ -11,6 +11,7 @@ import grasscohom.cli as cli
 from grasscohom.cache import RingCache
 from grasscohom.cli import main
 from grasscohom.rings import RingSpec
+from grasscohom.solver import admissible_tuples
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +200,32 @@ def test_replay_missing_and_malformed_files(capsys, tmp_path):
     assert code == 2
     assert "not valid JSON" in err
 
+    # well-formed JSON that is not a certificate is refused, naming the field
+    code, out, _ = run_cli(capsys, "certify", "1", "2", "5", "3", "--format", "json",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+    text_k = json.loads(out)
+    text_k["parameters"]["k"] = "a"
+    # a string for the flag would otherwise be echoed back as a match
+    text_strict = {**json.loads(out), "strict_inequality": "off"}
+    for payload, field in (({"schema": "grasscohom.rigidity-certificate/1"}, "parameters"),
+                           ([1, 2], "not a JSON object"),
+                           (text_k, "parameters.k"),
+                           (text_strict, "strict_inequality")):
+        bad.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "replay-cert", str(bad),
+                               "--cache-dir", str(tmp_path))
+        assert code == 2, payload
+        assert "invalid parameters" in err
+        assert field in err
+
+
+def test_seed_flag_is_an_argparse_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-facts", "4", "2", "--seed", "1", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
 
 def test_corrupt_cache_exit_code(capsys, tmp_path):
     run_cli(capsys, "ring", "4", "2", "--cache-dir", str(tmp_path))
@@ -335,3 +362,35 @@ def test_json_output_is_independent_of_hash_seed(tmp_path, argv, digest, writes_
               for seed in ("0", "1")]
     assert bool(tables[0]) == writes_tables
     assert tables[0] == tables[1]
+
+
+# Each digest is the sha256 of the concatenated stdout of a batch of
+# in-process calls, in order, each with its own fresh empty --cache-dir:
+#   certify: `certify K L M N --format json` for every (k, l, m, n) in
+#     admissible_tuples(2, 3, 14, 8) (139 tuples);
+#   verify-facts: `verify-facts N K --format json` for the 11 rings in
+#     _FACT_RINGS.
+# Both reproduce under PYTHONHASHSEED 0 and 7.
+_FACT_RINGS = ((4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3),
+               (9, 2), (9, 3), (8, 4))
+
+
+@pytest.mark.parametrize("batch, count, digest", [
+    ("certify", 139,
+     "c27d17ed58cf3d8e99ee549926bc366936a2d0203902aab4a104e51691a5e788"),
+    ("verify-facts", 11,
+     "c08c0ad0dc6a316e367b00cecb82ef65293eb6f15c749269776659066d553935"),
+])
+def test_batch_stdout_digests(capsys, tmp_path, batch, count, digest):
+    if batch == "certify":
+        argvs = [map(str, t) for t in admissible_tuples(2, 3, 14, 8)]
+    else:
+        argvs = [(str(n), str(k)) for n, k in _FACT_RINGS]
+    assert len(argvs) == count
+    stdout = hashlib.sha256()
+    for i, args in enumerate(argvs):
+        code, out, _ = run_cli(capsys, batch, *args, "--format", "json",
+                               "--cache-dir", str(tmp_path / str(i)))
+        assert code == 0
+        stdout.update(out.encode())
+    assert stdout.hexdigest() == digest

@@ -9,7 +9,6 @@ from grasscohom.linalg import (
     bareiss_determinant,
     clear_denominators,
     cokernel_is_free,
-    has_full_column_rank,
     integer_rref,
     normalize_row,
     rank_exact,
@@ -86,6 +85,8 @@ def test_rank_paths_agree(mat):
     expected = fraction_rank(mat, 4)
     assert rank_exact([dict(r) for r in rows], 4) == expected
     assert len(integer_rref([dict(r) for r in rows], 4)[0]) == expected
+    # the forward phase alone counts the pivots back-substitution keeps
+    assert rank_exact(rows, 4) == len(integer_rref(rows, 4)[0])
     # mod-p ranks never exceed the rational rank and certification matches
     assert rank_mod_prime([dict(r) for r in rows], 4) <= expected
     assert rank_mod_prime_dense([dict(r) for r in rows], 4) <= expected
@@ -94,8 +95,8 @@ def test_rank_paths_agree(mat):
 
 
 def test_full_column_rank():
-    assert has_full_column_rank(dense_to_rows([[2, 0], [0, 3], [1, 1]]), 2)
-    assert not has_full_column_rank(dense_to_rows([[1, 2], [2, 4]]), 2)
+    assert rank_lower_bound_certified(dense_to_rows([[2, 0], [0, 3], [1, 1]]), 2, 2)
+    assert not rank_lower_bound_certified(dense_to_rows([[1, 2], [2, 4]]), 2, 2)
 
 
 def test_bareiss_determinant_known():

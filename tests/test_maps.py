@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from grasscohom.maps import (
-    _matrix_rank,
     GradedHom,
     apply_hom,
     check_well_defined,
@@ -134,9 +133,22 @@ def test_rank_profile_covers_all_source_degrees(tables):
     assert profile[-1].target_betti == 1
 
 
-def test_matrix_rank_clears_denominators():
-    assert _matrix_rank([]) == 0
-    assert _matrix_rank([[0, 0], [0, 0]]) == 0
-    assert _matrix_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
-    assert _matrix_rank([[Fraction(1, 3), 0, 1], [0, Fraction(2, 5), 1],
-                         [1, 1, 0]]) == 3
+def test_rank_profile_clears_denominators(tables):
+    # c_i -> t^i c_i with t = 1/2 is a graded automorphism, so the scaled
+    # restriction has the plain one's ranks though its rows carry Fractions
+    plain = restriction_i(4, 2)  # (5,2) -> (4,2)
+    t = Fraction(1, 2)
+    scaled = GradedHom(plain.source, plain.target,
+                       tuple(img.scale(t ** (i + 1))
+                             for i, img in enumerate(plain.images)))
+    assert check_well_defined(scaled, tables).ok
+    target = tables.get(plain.target)
+    image = target.normal_form_terms(
+        parse_polynomial("c1^2", 2).substitute(list(scaled.images)))
+    assert image and all(type(c) is Fraction for c in image.values())
+    ranks = [e.rank for e in rank_profile(scaled, tables)]
+    assert ranks == [e.rank for e in rank_profile(plain, tables)]
+    assert ranks == target.betti_numbers
+    # the zero map keeps only the unit
+    zero = zero_hom(plain.source, plain.target)
+    assert [e.rank for e in rank_profile(zero, tables)] == [1] + [0] * 4

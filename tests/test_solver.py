@@ -159,6 +159,21 @@ def test_c1_vanishing_shortcut(tables):
     assert not c1_vanishing_shortcut(G42, G42, tables)
 
 
+def test_certify_computes_the_target_c1_power_once(monkeypatch):
+    import grasscohom.solver as solver
+    calls = []
+    original = solver.generator_element
+
+    def counting(ring, index, power=1):
+        calls.append((ring.spec, index, power))
+        return original(ring, index, power)
+
+    monkeypatch.setattr(solver, "generator_element", counting)
+    cert = certify_rigidity(2, 3, 9, 5)
+    assert cert.evidence["c1_shortcut"]["holds"]
+    assert calls == [(RingSpec(9, 3), 0, 1)]
+
+
 def test_endo_reduction_of_zero_map(tables):
     phi = zero_hom(RingSpec(3, 1), G52)
     endo = endo_reduction(1, 2, 5, 3, phi, tables)
