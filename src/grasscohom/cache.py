@@ -18,8 +18,9 @@ hex digits, `","table":`, the canonical JSON payload (`rings.table_to_dict`
 with sorted keys and no whitespace) and `}`.  The checksum is the sha256
 of the payload bytes as stored, so a load checks that layout, hashes the
 payload slice and decodes only it; `rings.table_from_dict` then checks the
-structure.  Any mismatch raises CacheIntegrityError rather than silently
-rebuilding (delete the file to recover).  Other formats, such as
+structure and `rings.certify_table` proves the values.  Any mismatch
+raises CacheIntegrityError rather than silently rebuilding (delete the
+file to recover).  Other formats, such as
 `ring-N-K.v1.json`, are never read.  Writes go through a temp file and
 os.replace, so a crash never leaves a truncated table, and files get the
 mode open() gives under the process umask.
@@ -37,7 +38,14 @@ import os
 import secrets
 from pathlib import Path
 
-from .rings import RingSpec, RingTable, build_ring, table_from_dict, table_to_dict
+from .rings import (
+    RingSpec,
+    RingTable,
+    build_ring,
+    certify_table,
+    table_from_dict,
+    table_to_dict,
+)
 
 ENV_CACHE_DIR = "GRASSCOHOM_CACHE_DIR"
 
@@ -115,6 +123,7 @@ class RingCache:
         try:
             # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
             table = table_from_dict(json.loads(body))
+            certify_table(table)
         except (KeyError, ValueError, TypeError) as err:
             raise CacheIntegrityError(f"{path} payload rejected: {err}") from err
         if table.spec != spec:

@@ -4,8 +4,19 @@ Everything here works on small sparse matrices whose rows are dicts mapping
 column index to a nonzero int (or Fraction after back-substitution).  The
 three jobs are:
 
-* integer row reduction that yields, per degree, the reduction of every
-  pivot monomial as a Q-combination of the free (basis) monomials;
+* table: row reduction that yields, per degree, the reduction of every
+  pivot monomial as a Q-combination of the free (basis) monomials.
+  `integer_rref` row-reduces modulo p = 2^31 - 1, lifts each pivot row's
+  residues to symmetric integers, and keeps the result only if every
+  input row maps to zero under the lifted reduction (`rows_in_kernel`),
+  trusting nothing about p.  The rank over Q is at least the rank mod p,
+  which is the pivot count, which is the dimension of the reduction's
+  kernel; the check puts the row space inside that kernel, so the two
+  are equal.  Each lifted row lives on free columns right of its pivot,
+  so the pivots are the row space's leading columns and the result is
+  the unique reduced echelon form.  A wrong lift, a pivot set that
+  depends on p or a fractional entry fails the check, and the exact
+  fraction-free elimination (`_rref_exact`) runs instead;
 * integer cokernel analysis certifying that a quotient slice is free as an
   abelian group (all Smith invariant factors 1), organized so that the
   dense Smith form is only a last resort;
@@ -17,7 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -85,14 +96,38 @@ def integer_rref(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]
     """Reduced row echelon form over Q of an integer matrix, kept exact.
 
     Returns (pivots, free_cols) where pivots maps each pivot column to a row
-    {free_col: Fraction} expressing  e_pivot = sum coeff * e_free  modulo the
-    row space, i.e. the pivot row rewritten as
+    {free_col: coefficient} expressing  e_pivot = sum coeff * e_free  modulo
+    the row space, i.e. the pivot row rewritten as
     pivot = -sum(coeff_free * free)  with the sign already folded in:
     stored row gives pivot_monomial = sum(stored[j] * basis_monomial_j).
 
-    Forward phase is `_forward_echelon`; back-substitution introduces
-    Fractions only at the end.
+    The reduction is computed modulo `_DENSE_PRIME` and lifted to
+    symmetric integers, then accepted only through `rows_in_kernel` (see
+    the module docstring); otherwise `_rref_exact` computes it with
+    Fraction coefficients.  Both give the same pivots, free columns and
+    values.
     """
+    if not rows:  # a degree below the first relation
+        return {}, list(range(ncols))
+    mat, pivot_cols = _echelon_mod_prime(rows, ncols, _DENSE_PRIME, reduced=True)
+    pivot_set = set(pivot_cols)
+    free_cols = [j for j in range(ncols) if j not in pivot_set]
+    # stored = -(symmetric residue): p - v above p/2, -v otherwise
+    block = mat[:len(pivot_cols)][:, free_cols]
+    lifted = np.where(block > _DENSE_PRIME // 2, _DENSE_PRIME - block, -block)
+    reduced = {
+        p: {free_cols[t]: v for t, v in enumerate(values) if v}
+        for p, values in zip(pivot_cols, lifted.tolist())
+    }
+    if rows_in_kernel(rows, ncols, reduced, free_cols):
+        return reduced, free_cols
+    return _rref_exact(rows, ncols)
+
+
+def _rref_exact(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]]:
+    """`integer_rref` by fraction-free forward elimination
+    (`_forward_echelon`) and a back-substitution that introduces Fractions
+    only at the end."""
     echelon = _forward_echelon(rows)
     # back-substitution, right-to-left, to clear pivot columns above
     free_cols = [j for j in range(ncols) if j not in echelon]
@@ -118,6 +153,49 @@ def integer_rref(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]
                         expr.pop(jj, None)
         reduced[lead] = {j: c for j, c in expr.items() if c}
     return reduced, free_cols
+
+
+def rows_in_kernel(rows: list[Row], ncols: int, reduced: dict[int, Row],
+                   free_cols: list[int]) -> bool:
+    """True iff every row maps to zero under the reduction map phi:
+    e_f -> e_f for a free column f, e_p -> sum(reduced[p][f] * e_f) for a
+    pivot column p (entries are ints or Fractions, and only free columns).
+
+    Exact: phi is scaled by the common denominator of its entries, and the
+    dense product runs in int64 only when no partial sum can leave its
+    range (largest row sum of |rows| times the largest |phi| below 2^63),
+    otherwise over Python ints.
+    """
+    if not rows or not free_cols:
+        return True
+    slot = {f: t for t, f in enumerate(free_cols)}
+    denom = 1
+    for expr in reduced.values():
+        for c in expr.values():
+            if c.denominator != 1:
+                denom = lcm(denom, c.denominator)
+    phi = [(f, t, denom) for f, t in slot.items()]
+    phi += [(p, slot[f], int(c * denom))
+            for p, expr in reduced.items() for f, c in expr.items()]
+    entries = [(i, j, c) for i, row in enumerate(rows) for j, c in row.items()]
+    row_sums = [0] * len(rows)
+    for i, _, c in entries:
+        row_sums[i] += abs(c)
+    bound = max(row_sums) * max(abs(v) for _, _, v in phi)
+    dtype = np.int64 if bound < 1 << 63 else object
+    product = (_dense(entries, (len(rows), ncols), dtype)
+               @ _dense(phi, (ncols, len(free_cols)), dtype))
+    return not np.count_nonzero(product)
+
+
+def _dense(entries: list[tuple[int, int, int]], shape: tuple[int, int],
+           dtype) -> np.ndarray:
+    """Dense array of the given shape holding (row, column, value) entries."""
+    mat = np.zeros(shape, dtype=dtype)
+    if entries:
+        ii, jj, vv = zip(*entries)
+        mat[ii, jj] = vv
+    return mat
 
 
 def clear_denominators(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -278,43 +356,52 @@ def rank_mod_prime(rows: list[Row], ncols: int, prime: int = _RANK_PRIME,
     return len(pivots)
 
 
-def rank_mod_prime_dense(rows: list[Row], ncols: int,
-                         prime: int = _DENSE_PRIME,
-                         stop: int | None = None) -> int:
-    """Rank over F_prime by vectorized dense elimination.
+def _echelon_mod_prime(rows: list[Row], ncols: int, prime: int,
+                       stop: int | None = None,
+                       reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Vectorized dense elimination over F_prime.
 
     Residues and their pairwise products fit in int64 for primes below
-    2^31.5, so the arithmetic is exact.  Like every mod-p rank this is a
-    lower bound for the rank over Q; callers escalate on a shortfall.
+    2^31.5, so the arithmetic is exact.  Returns (mat, pivot_cols): row i
+    of mat, for i < len(pivot_cols), is monic at pivot_cols[i] and zero
+    left of it.  Below the pivot rows mat is zero (unless `stop` cut the
+    elimination short after that many pivots); with `reduced` each pivot
+    column is also zero above its row, so the pivot rows are the RREF.
     """
-    if not rows or ncols == 0:
-        return 0
-    mat = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            mat[i, j] = c % prime
     m = len(rows)
-    rank = 0
+    mat = _dense([(i, j, c % prime) for i, row in enumerate(rows)
+                  for j, c in row.items()], (m, ncols), np.int64)
+    pivot_cols: list[int] = []
     for j in range(ncols):
+        rank = len(pivot_cols)
         if rank >= m or (stop is not None and rank >= stop):
             break
-        col = mat[rank:, j]
-        nz = np.nonzero(col)[0]
+        nz = mat[rank:, j].nonzero()[0]
         if nz.size == 0:
             continue
         pr = rank + int(nz[0])
         if pr != rank:
             mat[[rank, pr]] = mat[[pr, rank]]
-        inv = pow(int(mat[rank, j]), prime - 2, prime)
+        inv = pow(int(mat[rank, j]), -1, prime)
         mat[rank, j:] = mat[rank, j:] * inv % prime
-        col = mat[rank + 1:, j]
-        hit = np.nonzero(col)[0]
+        lo = 0 if reduced else rank + 1
+        hit = lo + mat[lo:, j].nonzero()[0]
+        hit = hit[hit != rank]
         if hit.size:
-            block = mat[rank + 1 + hit, j:]
-            block = (block - col[hit, None] * mat[rank, j:]) % prime
-            mat[rank + 1 + hit, j:] = block
-        rank += 1
-    return rank
+            block = mat[hit, j:]
+            mat[hit, j:] = (block - block[:, :1] * mat[rank, j:]) % prime
+        pivot_cols.append(j)
+    return mat, pivot_cols
+
+
+def rank_mod_prime_dense(rows: list[Row], ncols: int,
+                         prime: int = _DENSE_PRIME,
+                         stop: int | None = None) -> int:
+    """Rank over F_prime by `_echelon_mod_prime`, stopping after `stop`
+    pivots.  Like every mod-p rank this is a lower bound for the rank over
+    Q; callers escalate on a shortfall.
+    """
+    return len(_echelon_mod_prime(rows, ncols, prime, stop)[1])
 
 
 def rank_lower_bound_certified(rows: list[Row], ncols: int, expected: int) -> bool:
@@ -334,7 +421,7 @@ def rank_lower_bound_certified(rows: list[Row], ncols: int, expected: int) -> bo
 
 
 def rank_exact(rows: list[Row], ncols: int) -> int:
-    """Rank over Q: the pivot count of `integer_rref`'s forward phase, with
+    """Rank over Q: the pivot count of `_rref_exact`'s forward phase, with
     no back-substitution."""
     return len(_forward_echelon(rows))
 

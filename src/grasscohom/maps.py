@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .cache import RingCache, get_table
 from .linalg import clear_denominators, rank_exact
-from .polynomials import Polynomial, parse_polynomial
+from .polynomials import Polynomial, parse_polynomial, substitution
 from .rings import RingElement, RingSpec, grassmann_relations
 
 HOM_SCHEMA = "grasscohom.graded-hom/1"
@@ -184,16 +184,18 @@ def rank_profile(h: GradedHom,
     Degree r's matrix has one sparse row per source basis monomial: the
     normal form of its image, indexed by the target's basis[r] and scaled
     to integers (scaling a row keeps the rank), ranked by `rank_exact`.
+    The images are checked and their powers built once per profile.
     """
     source_ring = get_table(h.source, cache)
     target_ring = get_table(h.target, cache)
+    substitute = substitution(h.source.k, h.images)
     out = []
     for r in range(target_ring.spec.dim + 1):
         column = {b: j for j, b in enumerate(target_ring.degree_basis(r))}
         rows = []
         for mono in source_ring.degree_basis(r):
             image = target_ring.normal_form_terms(
-                Polynomial.monomial(mono).substitute(h.images))
+                substitute(Polynomial.monomial(mono)))
             rows.append(clear_denominators(
                 {column[b]: c for b, c in image.items()})[0])
         out.append(DegreeRank(r, source_ring.betti(r), target_ring.betti(r),

@@ -15,8 +15,10 @@ golden-file tests and the table serialization.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 Exponents = tuple  # exponent vector; entry i is the power of c_{i+1}
@@ -35,7 +37,7 @@ def grevlex_key(exps: Exponents):
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
@@ -56,11 +58,14 @@ def mono_degree(exps: Exponents) -> int:
     return sum((i + 1) * e for i, e in enumerate(exps))
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
+@functools.cache
+def monomials_of_degree(nvars: int, degree: int) -> tuple[Exponents, ...]:
     """All exponent tuples of degree `degree`, grevlex-descending.
 
     These correspond to partitions of `degree` with parts at most `nvars`
-    (entry i counts the parts equal to i+1).
+    (entry i counts the parts equal to i+1).  Memoized: every ring slice
+    asks for the same few (nvars, degree) pairs, and the tuple is shared,
+    so no caller can change it for the next.
     """
     out: list[Exponents] = []
 
@@ -76,10 +81,10 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
         acc[part - 1] = 0
 
     if degree < 0:
-        return []
+        return ()
     rec(degree, nvars, [0] * nvars)
     out.sort(key=grevlex_key, reverse=True)
-    return out
+    return tuple(out)
 
 
 class Polynomial:
@@ -267,46 +272,8 @@ class Polynomial:
         )
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Replace ci by images[i-1] and expand exactly.
-
-        All images must share one generator count (the target ring), and
-        images[i-1] must be homogeneous of degree i, so that substitution
-        preserves degrees.
-        """
-        if len(images) != self.nvars:
-            raise ValueError(
-                f"expected {self.nvars} generator images, got {len(images)}"
-            )
-        if not images:
-            # constants in a ring with no generators
-            return Polynomial(0, dict(self.terms))
-        target_nvars = images[0].nvars
-        for i, img in enumerate(images):
-            if img.nvars != target_nvars:
-                raise ValueError("generator images live in different rings")
-            if not img.is_homogeneous(i + 1):
-                raise ValueError(
-                    f"image of c{i + 1} is not homogeneous of degree {i + 1}: "
-                    f"{img.to_text()}"
-                )
-        result = Polynomial.zero(target_nvars)
-        power_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def power_of(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            cached = power_cache.get(key)
-            if cached is None:
-                cached = images[i] ** e
-                power_cache[key] = cached
-            return cached
-
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(target_nvars, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power_of(i, e)
-            result = result + term
-        return result
+        """Replace ci by images[i-1] and expand exactly (see `substitution`)."""
+        return substitution(self.nvars, images)(self)
 
     def evaluate(self, values: Sequence[Coeff]) -> Coeff:
         """Evaluate at exact scalars, one per generator."""
@@ -416,6 +383,55 @@ def parse_polynomial(text: str, nvars: int,
         else:
             terms.pop(key, None)
     return Polynomial(nvars, terms)
+
+
+def substitution(nvars: int, images: Sequence[Polynomial]):
+    """The map ci -> images[i-1] on polynomials in `nvars` generators.
+
+    All images must share one generator count (the target ring), and
+    images[i-1] must be homogeneous of degree i, so that substitution
+    preserves degrees; both are checked once, here.  The returned function
+    expands a polynomial exactly and keeps the powers of the images it has
+    built, so substituting many polynomials builds each power once.
+    """
+    if len(images) != nvars:
+        raise ValueError(f"expected {nvars} generator images, got {len(images)}")
+    if not images:
+        # constants in a ring with no generators
+        return lambda poly: Polynomial(0, dict(poly.terms))
+    target_nvars = images[0].nvars
+    for i, img in enumerate(images):
+        if img.nvars != target_nvars:
+            raise ValueError("generator images live in different rings")
+        if not img.is_homogeneous(i + 1):
+            raise ValueError(
+                f"image of c{i + 1} is not homogeneous of degree {i + 1}: "
+                f"{img.to_text()}"
+            )
+    power_cache: dict[tuple[int, int], Polynomial] = {}
+
+    def power_of(i: int, e: int) -> Polynomial:
+        key = (i, e)
+        cached = power_cache.get(key)
+        if cached is None:
+            cached = images[i] ** e
+            power_cache[key] = cached
+        return cached
+
+    def apply(poly: Polynomial) -> Polynomial:
+        if poly.nvars != nvars:
+            raise ValueError(f"polynomial has {poly.nvars} generators, "
+                             f"the substitution expects {nvars}")
+        result = Polynomial.zero(target_nvars)
+        for exps, coeff in poly.terms.items():
+            term = Polynomial.constant(target_nvars, coeff)
+            for i, e in enumerate(exps):
+                if e:
+                    term = term * power_of(i, e)
+            result = result + term
+        return result
+
+    return apply
 
 
 def inverse_series(nvars: int, max_degree: int) -> list[Polynomial]:

@@ -27,6 +27,18 @@ over monomials m of degree r - j):
   the relations are k homogeneous forms of degrees n-k+1..n, and the
   window above the top degree vanishes.  Any other slice rank is exact.
 * freeness: integer row operations only; see `linalg.cokernel_is_free`.
+* table: `build_ring` takes each degree's reductions from
+  `linalg.integer_rref`, which row-reduces the slice modulo p = 2^31 - 1,
+  lifts the residues to symmetric integers and accepts them only if every
+  slice row maps to zero under the lifted reduction; otherwise it
+  eliminates exactly.  Nothing rests on p: the rank over Q is at least the
+  rank mod p, the pivot count, which is the dimension of the reduction's
+  kernel, and the check puts the row space inside that kernel, so the two
+  are equal.  Each reduction uses only free monomials after its pivot, so
+  the pivots are the row space's leading monomials and the table is the
+  unique reduced echelon form.  A table read from disk passes the same
+  proof (`certify_table`), with `linalg.rank_lower_bound_certified`
+  supplying the rank bound and the order checked rather than built in.
 
 Tables serialize to `grasscohom.ring-table/2` (`table_to_dict`): the
 relations as text, then per degree the basis as exponent vectors and the
@@ -49,6 +61,7 @@ raise there instead of reading zero, and degrees above dim still vanish.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -61,11 +74,13 @@ from .linalg import (
     integer_rref,
     rank_exact,
     rank_lower_bound_certified,
+    rows_in_kernel,
 )
 from .polynomials import (
     Polynomial,
     grevlex_key,
     inverse_series,
+    mono_degree,
     mono_mul,
     monomials_of_degree,
 )
@@ -111,10 +126,15 @@ class RingSpec:
         return f"G({self.n},{self.k})"
 
 
-def grassmann_relations(spec: RingSpec) -> list[Polynomial]:
-    """The defining relations: inverse-series terms of degree n-k+1 .. n."""
+@functools.cache
+def grassmann_relations(spec: RingSpec) -> tuple[Polynomial, ...]:
+    """The defining relations: inverse-series terms of degree n-k+1 .. n.
+
+    Memoized per spec (builds, loads and map checks all ask for them); the
+    tuple and its polynomials are immutable, so the shared value is safe.
+    """
     series = inverse_series(spec.k, spec.n)
-    return series[spec.n - spec.k + 1:]
+    return tuple(series[spec.n - spec.k + 1:])
 
 
 def gaussian_binomial(n: int, k: int) -> list[int]:
@@ -185,15 +205,18 @@ def rectangle_tableau_count(rows: int, cols: int) -> int:
 def ideal_slice(relations: list[Polynomial], k: int, r: int):
     """Rows of the degree-r slice of the ideal over degree-r monomials.
 
-    Returns (rows, monos, col_index): each row is {column: int} for one
-    product m * h_j with deg m = r - deg h_j; monos is grevlex-descending.
+    The relations must be homogeneous.  Returns (rows, monos, col_index):
+    each row is {column: int} for one product m * h_j with
+    deg m = r - deg h_j; monos is grevlex-descending.
     """
     monos = monomials_of_degree(k, r)
     col = {e: i for i, e in enumerate(monos)}
     rows = []
     for h in relations:
-        j = h.max_degree()
-        if h.is_zero() or j > r:
+        if h.is_zero():
+            continue
+        j = mono_degree(next(iter(h.terms)))
+        if j > r:
             continue
         items = list(h.terms.items())
         for m in monomials_of_degree(k, r - j):
@@ -725,6 +748,35 @@ def table_from_dict(payload: dict) -> RingTable:
         basis[r] = monos
         reduction[r] = table
     return RingTable(spec, relations, basis, reduction)
+
+
+def certify_table(table: RingTable) -> None:
+    """Prove that every stored degree of `table` is its slice's row
+    reduction, as the module docstring's table bullet argues; ValueError
+    otherwise.
+
+    Per degree r: each pivot's row uses only basis monomials after the
+    pivot in grevlex-descending order, every row of `ideal_slice` maps to
+    zero under the table (`rows_in_kernel`), and the slice has rank at
+    least the number of pivots (`rank_lower_bound_certified`).  A table
+    read from disk passes this before it is used.
+    """
+    spec = table.spec
+    for r in range(table.through + 1):
+        rows, monos, col = ideal_slice(table.relations, spec.k, r)
+        reduced = {}
+        for piv, expr in table.reduction[r].items():
+            p = col[piv]
+            row = {col[b]: c for b, c in expr.items()}
+            if any(j <= p for j in row):
+                raise ValueError(f"{spec} degree {r}: the reduction of "
+                                 f"{piv} uses a basis monomial before it")
+            reduced[p] = row
+        free_cols = sorted(col[b] for b in table.basis[r])
+        if not (rows_in_kernel(rows, len(monos), reduced, free_cols)
+                and rank_lower_bound_certified(rows, len(monos), len(reduced))):
+            raise ValueError(f"{spec} degree {r}: the reductions are not the "
+                             f"row reduction of the relation slice")
 
 
 def __getattr__(name):

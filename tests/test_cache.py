@@ -100,11 +100,21 @@ def _put(value, *keys):
     return edit
 
 
-# Edits to the stored G(6,2) payload.  Its degree-6 section is
+# Edits to the stored G(6,2) payload.  Its degree-5 section is
+#   basis [[3, 1], [1, 2]], reduction [[[5, 0], [[0, 4], [1, -3]]]],
+# its degree-6 section is
 #   basis [[2, 2], [0, 3]], reduction [[[4, 1], [[0, 3], [1, -1]]],
 #                                      [[6, 0], [[0, 9], [1, -4]]]]
 # and its degree-8 section reduces [2, 3] to [[0, 1]].
 TAMPERS = {
+    # c1^6 -> 10*c1^2*c2^2 - 4*c2^3: same shape, wrong value
+    "coefficient-raised": _put(10, "degrees", 6, "reduction", 1, 1, 0, 1),
+    # c1^3*c2 -> (c1^5 + 3*c1*c2^2)/4 also kills the degree-5 relation, but
+    # c1^5 comes before c1^3*c2, so this is not the row reduction
+    "basis-and-pivot-swapped": _put(
+        {"basis": [[5, 0], [1, 2]],
+         "reduction": [[[3, 1], [[0, "1/4"], [1, "3/4"]]]]},
+        "degrees", 5),
     # drops c1^4*c2 = 3*c1^2*c2^2 - c2^3, so it would pass as a basis monomial
     "reduction-row-deleted": lambda t: t["degrees"][6]["reduction"].pop(0),
     "pivot-in-basis": _put([2, 2], "degrees", 6, "reduction", 0, 0),
@@ -147,6 +157,8 @@ def test_tampered_table_with_recomputed_checksum_raises(tmp_path, name):
         "reduction": [[[4, 1], [[0, 3], [1, -1]]], [[6, 0], [[0, 9], [1, -4]]]],
     }
     assert payload["degrees"][8]["reduction"][0] == [[2, 3], [[0, 1]]]
+    assert payload["degrees"][5] == {
+        "basis": [[3, 1], [1, 2]], "reduction": [[[5, 0], [[0, 4], [1, -3]]]]}
 
     TAMPERS[name](payload)
     envelope["checksum"] = payload_checksum(payload)

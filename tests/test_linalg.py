@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasscohom import linalg
 from grasscohom.linalg import (
     bareiss_determinant,
     clear_denominators,
@@ -16,6 +17,7 @@ from grasscohom.linalg import (
     rank_mod_prime,
     rank_mod_prime_dense,
     row_content,
+    rows_in_kernel,
     smith_invariant_factors_all_one,
     unit_echelon,
 )
@@ -76,6 +78,65 @@ def test_integer_rref_expresses_pivots_in_free_columns():
     assert free == [2]
     assert pivots[0] == {2: Fraction(-2)}
     assert pivots[1] == {2: Fraction(1)}
+
+
+P = linalg._DENSE_PRIME
+# entries at and around the prime, past int64 products, and small ones
+hostile_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([P - 1, -(P - 1), P, -P, P + 1, 2**40, -2**40, 3 * 10**9]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(hostile_entries, min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_modular_rref_equals_the_exact_path(mat):
+    ncols = len(mat[0])
+    rows = dense_to_rows(mat)
+    pivots, free = integer_rref(rows, ncols)
+    exact_pivots, exact_free = linalg._rref_exact(rows, ncols)
+    assert free == exact_free
+    assert pivots == exact_pivots
+    assert len(pivots) == fraction_rank(mat, ncols)
+
+
+def _counting_exact_path(monkeypatch):
+    calls = []
+    original = linalg._rref_exact
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_rref_exact", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # pivot column 0 mod p, column 1 over Q
+    ([{0: P, 1: 1}], {0: {1: Fraction(-1, P)}}),
+    # -3*10^9 lifts to a symmetric residue of another value
+    ([{0: 1, 1: -3 * 10**9}], {0: {1: 3 * 10**9}}),
+    # x0 = -x1/2 is not integral
+    ([{0: 2, 1: 1}], {0: {1: Fraction(-1, 2)}}),
+], ids=["pivots-differ-mod-p", "lift-out-of-range", "fractional-entry"])
+def test_failed_certificate_falls_back_to_the_exact_path(monkeypatch, rows, expected):
+    calls = _counting_exact_path(monkeypatch)
+    pivots, free = integer_rref(rows, 2)
+    assert calls == [2]
+    assert (pivots, free) == (expected, [1])
+
+
+def test_rows_in_kernel_is_exact():
+    reduced = {0: {1: 3 * 10**9}}
+    assert rows_in_kernel([{0: 1, 1: -3 * 10**9}], 2, reduced, [1])
+    assert not rows_in_kernel([{0: 1, 1: -3 * 10**9 + 1}], 2, reduced, [1])
+    # Python-int products past int64, and Fraction entries
+    big = 2**70
+    assert rows_in_kernel([{0: big, 1: -big * big}], 2, {0: {1: big}}, [1])
+    assert not rows_in_kernel([{0: big, 1: 1 - big * big}], 2, {0: {1: big}}, [1])
+    assert rows_in_kernel([{0: 2, 1: 1}], 2, {0: {1: Fraction(-1, 2)}}, [1])
+    assert not rows_in_kernel([{0: 2, 1: 1}], 2, {0: {1: Fraction(1, 2)}}, [1])
 
 
 @settings(max_examples=50, deadline=None)

@@ -28,9 +28,9 @@ def P(text, nvars):
 def test_grevlex_two_vars_degree_slice():
     # within one weighted degree the order is by exponent sum, then the
     # rightmost differing exponent (smaller wins)
-    assert monomials_of_degree(2, 4) == [(4, 0), (2, 1), (0, 2)]
-    assert monomials_of_degree(3, 4) == [(4, 0, 0), (2, 1, 0), (0, 2, 0), (1, 0, 1)]
-    assert monomials_of_degree(2, 5) == [(5, 0), (3, 1), (1, 2)]
+    assert monomials_of_degree(2, 4) == ((4, 0), (2, 1), (0, 2))
+    assert monomials_of_degree(3, 4) == ((4, 0, 0), (2, 1, 0), (0, 2, 0), (1, 0, 1))
+    assert monomials_of_degree(2, 5) == ((5, 0), (3, 1), (1, 2))
 
 
 def test_grevlex_key_total_order():
@@ -47,8 +47,8 @@ def test_monomials_of_degree_counts_partitions():
     # degree-r monomials in k weighted vars = partitions of r with parts <= k
     assert len(monomials_of_degree(2, 6)) == 4   # 6=2+2+2=2+2+1+1=...
     assert len(monomials_of_degree(1, 5)) == 1
-    assert monomials_of_degree(2, 0) == [(0, 0)]
-    assert monomials_of_degree(2, -1) == []
+    assert monomials_of_degree(2, 0) == ((0, 0),)
+    assert monomials_of_degree(2, -1) == ()
 
 
 def test_mono_helpers():

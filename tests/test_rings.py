@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grasscohom.rings as rings
+from grasscohom import linalg
 from grasscohom.cache import RingCache, get_table
 from grasscohom.polynomials import Polynomial, parse_polynomial
 from grasscohom.rings import (
@@ -275,6 +276,18 @@ def test_non_canonical_spec_builds():
     ring = build_ring(RingSpec(4, 3))
     assert ring.betti_numbers == [1, 1, 1, 1]
     assert ring.total_rank == 4
+
+
+@pytest.mark.parametrize("n,k", [(8, 4), (9, 3), (10, 4)])
+def test_modular_table_build_needs_no_exact_fallback(monkeypatch, n, k):
+    # every slice reduction of these rings is integral with coefficients
+    # below 2^30, so each one is certified on the modular path
+    def refuse(rows, ncols):
+        raise AssertionError("integer_rref fell back to the exact path")
+
+    monkeypatch.setattr(linalg, "_rref_exact", refuse)
+    ring = build_ring(RingSpec(n, k))
+    assert ring.total_rank == math.comb(n, k)
 
 
 def test_cut_table_refuses_degrees_above_the_cut():
