@@ -105,7 +105,7 @@ def integer_rref(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]
     symmetric integers, then accepted only through `rows_in_kernel` (see
     the module docstring); otherwise `_rref_exact` computes it with
     Fraction coefficients.  Both give the same pivots, free columns and
-    values.
+    values, each an int when integral.
     """
     if not rows:  # a degree below the first relation
         return {}, list(range(ncols))
@@ -127,12 +127,13 @@ def integer_rref(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]
 def _rref_exact(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]]:
     """`integer_rref` by fraction-free forward elimination
     (`_forward_echelon`) and a back-substitution that introduces Fractions
-    only at the end."""
+    only at the end; integral entries come back as ints, as on the modular
+    path."""
     echelon = _forward_echelon(rows)
     # back-substitution, right-to-left, to clear pivot columns above
     free_cols = [j for j in range(ncols) if j not in echelon]
     free_set = set(free_cols)
-    reduced: dict[int, dict[int, Fraction]] = {}
+    reduced: dict[int, Row] = {}
     for lead in sorted(echelon, reverse=True):
         row = echelon[lead]
         a = row[lead]
@@ -151,7 +152,8 @@ def _rref_exact(rows: list[Row], ncols: int) -> tuple[dict[int, Row], list[int]]
                         expr[jj] = acc
                     else:
                         expr.pop(jj, None)
-        reduced[lead] = {j: c for j, c in expr.items() if c}
+        reduced[lead] = {j: c.numerator if c.denominator == 1 else c
+                         for j, c in expr.items() if c}
     return reduced, free_cols
 
 

@@ -13,19 +13,17 @@ topological degrees double at the boundary.
 Correctness scheme for the degree-r slice of the ideal (the span of m * h_j
 over monomials m of degree r - j):
 
-* rank: a mod-p echelon (p = 2^61 - 1) that stops as soon as the predicted
-  rank is reached gives a certified lower bound; any miss falls back to an
-  exact elimination, so no conclusion ever rests on the prime alone.
-* series: once the k degrees directly above the top degree are certified to
-  vanish, every higher degree vanishes too (each monomial there is a
-  generator times a monomial in the vanished range), so the quotient is
-  finite-dimensional; k forms in k variables with finite quotient are a
-  regular sequence, which forces the Hilbert series to be the product
-  formula over the relation degrees, here exactly the q-binomial [n k]_q.
-* trust: the predicted rank is an upper bound, so the lower bound decides
-  the rank, only when both premises of the series argument are certified:
-  the relations are k homogeneous forms of degrees n-k+1..n, and the
-  window above the top degree vanishes.  Any other slice rank is exact.
+* rank: for any relation list, each degree 0..dim is reduced once by
+  `linalg.integer_rref` (`_graded_reduction`), whose pivot count is the
+  slice's exact rank over Q and whose free columns are the basis; the
+  table, the Hilbert check and the freeness check all read that one
+  reduction.  The k degrees above the top are only shown to vanish
+  (`_window_vanishes`): `linalg.rank_lower_bound_certified` proves full
+  column rank mod 2^31 - 1, else mod 2^61 - 1, else exactly, so no
+  conclusion rests on a prime alone.  Each monomial of a higher degree is
+  a generator times a monomial in that window, so every higher degree
+  vanishes too, and the Hilbert series is read off the free-column counts
+  of degrees 0..dim.
 * freeness: integer row operations only; see `linalg.cokernel_is_free`.
 * table: `build_ring` takes each degree's reductions from
   `linalg.integer_rref`, which row-reduces the slice modulo p = 2^31 - 1,
@@ -72,7 +70,6 @@ from .linalg import (
     bareiss_determinant,
     cokernel_is_free,
     integer_rref,
-    rank_exact,
     rank_lower_bound_certified,
     rows_in_kernel,
 )
@@ -224,64 +221,37 @@ def ideal_slice(relations: list[Polynomial], k: int, r: int):
     return rows, monos, col
 
 
-def _slice_rank_certified(rows, ncols: int, expected: int) -> bool:
-    """Certify the slice rank is at least `expected`: mod-p pivots supply
-    the lower bound, with an exact elimination as the fallback."""
-    if expected == 0:
-        return all(not r for r in rows)
-    return rank_lower_bound_certified(rows, ncols, expected)
+def _graded_reduction(relations: list[Polynomial], k: int, top: int):
+    """Yield (rows, monos, reduced, free_cols) for each degree 0..top: the
+    slice of `ideal_slice` and its certified `integer_rref` reduction, whose
+    pivot count is the slice's exact rank for any relation list."""
+    for r in range(top + 1):
+        rows, monos, _ = ideal_slice(relations, k, r)
+        reduced, free_cols = integer_rref(rows, len(monos))
+        yield rows, monos, reduced, free_cols
 
 
-def _graded_ranks(spec: RingSpec, relations: list[Polynomial]):
-    """The one rank pass behind the Hilbert and freeness checks.
-
-    Returns (window_vanishes, ranks): the k degrees above the top are
-    sliced first, then `ranks` lazily slices each degree 0..d once and
-    yields (rows, ncols, rank).  A mod-p lower bound decides a rank only
-    when the module docstring's series argument makes the q-binomial rank
-    an upper bound; every other rank is exact.
-    """
-    n, k, d = spec.n, spec.k, spec.dim
-    gauss = gaussian_binomial(n, k)
-    degrees = sorted(h.max_degree() for h in relations if not h.is_zero())
-    standard_shape = (
-        len(relations) == k
-        and degrees == list(range(n - k + 1, n + 1))
-        and all(h.is_homogeneous() for h in relations)
-    )
-    window_vanishes = True
+def _window_vanishes(relations: list[Polynomial], k: int, d: int) -> bool:
+    """True iff the quotient vanishes in degrees d+1 .. d+k, each slice
+    certified to have full column rank, and so in every degree above d."""
     for r in range(d + 1, d + k + 1):
         rows, monos, _ = ideal_slice(relations, k, r)
-        if not _slice_rank_certified(rows, len(monos), len(monos)):
-            window_vanishes = False
-            break
-    trusted = standard_shape and window_vanishes
-
-    def ranks():
-        for r in range(0, d + 1):
-            rows, monos, _ = ideal_slice(relations, k, r)
-            ncols = len(monos)
-            expected = ncols - gauss[r]
-            if trusted and _slice_rank_certified(rows, ncols, expected):
-                rank = expected
-            else:
-                rank = rank_exact(rows, ncols)
-            yield rows, ncols, rank
-
-    return window_vanishes, ranks()
+        if not rank_lower_bound_certified(rows, len(monos), len(monos)):
+            return False
+    return True
 
 
 def hilbert_check(spec: RingSpec, relations: list[Polynomial] | None = None) -> bool:
     """True iff the quotient's Hilbert series equals the q-binomial [n k]_q:
     the k degrees above d = k(n-k) vanish and every degree r <= d leaves
-    exactly [n k]_q[r] basis monomials, by the ranks of `_graded_ranks`.
+    exactly [n k]_q[r] free monomials in its `_graded_reduction`.
     """
     if relations is None:
         relations = grassmann_relations(spec)
     gauss = gaussian_binomial(spec.n, spec.k)
-    window_vanishes, ranks = _graded_ranks(spec, relations)
-    return window_vanishes and all(
-        ncols - rank == gauss[r] for r, (_, ncols, rank) in enumerate(ranks))
+    return _window_vanishes(relations, spec.k, spec.dim) and all(
+        len(free_cols) == gauss[r] for r, (_, _, _, free_cols) in enumerate(
+            _graded_reduction(relations, spec.k, spec.dim)))
 
 
 @dataclass(frozen=True)
@@ -320,8 +290,9 @@ def freeness_check(spec: RingSpec,
     maximal minor directly, and any residual lattice is decided by
     factoring the gcd of sampled maximal minors and checking full rank
     modulo each prime divisor (a torsion prime divides every maximal
-    minor, so primes outside the gcd need no check).  The ranks come from
-    the same pass as `hilbert_check`, whose verdict the report carries.
+    minor, so primes outside the gcd need no check).  Each degree's rank is
+    the pivot count of the same `_graded_reduction` that `hilbert_check`
+    reads, whose verdict the report carries.
 
     The minors are sampled from a fixed `Random(0x5eed)`: which minors are
     drawn changes only how fast the gcd shrinks, never the verdict, since
@@ -331,11 +302,12 @@ def freeness_check(spec: RingSpec,
         relations = grassmann_relations(spec)
     gauss = gaussian_binomial(spec.n, spec.k)
     rng = random.Random(0x5eed)
-    window_vanishes, ranks = _graded_ranks(spec, relations)
+    window_vanishes = _window_vanishes(relations, spec.k, spec.dim)
     entries = []
-    for r, (rows, ncols, rank) in enumerate(ranks):
-        free = cokernel_is_free(rows, ncols, rank, rng)
-        entries.append(DegreeFreeness(r, rank, ncols - rank, free))
+    for r, (rows, monos, reduced, free_cols) in enumerate(
+            _graded_reduction(relations, spec.k, spec.dim)):
+        free = cokernel_is_free(rows, len(monos), len(reduced), rng)
+        entries.append(DegreeFreeness(r, len(reduced), len(free_cols), free))
     return FreenessReport(
         spec, tuple(entries),
         ok=all(e.free for e in entries),
@@ -472,9 +444,8 @@ def build_ring(spec: RingSpec, through: int | None = None) -> RingTable:
     gauss = gaussian_binomial(spec.n, k)
     basis: dict[int, list] = {}
     reduction: dict[int, dict] = {}
-    for r in range(0, cut + 1):
-        rows, monos, _ = ideal_slice(relations, k, r)
-        reduced, free_cols = integer_rref(rows, len(monos))
+    for r, (_, monos, reduced, free_cols) in enumerate(
+            _graded_reduction(relations, k, cut)):
         expected = box_partition_count(r, k, spec.n - k)
         if len(free_cols) != expected:
             raise AssertionError(
@@ -484,19 +455,10 @@ def build_ring(spec: RingSpec, through: int | None = None) -> RingTable:
         if expected != gauss[r]:
             raise AssertionError("box count disagrees with q-binomial")
         basis[r] = [monos[j] for j in free_cols]
-        table = {}
-        for piv, expr in reduced.items():
-            entry = {}
-            for j, c in expr.items():
-                entry[monos[j]] = int(c) if c.denominator == 1 else c
-            table[monos[piv]] = entry
-        reduction[r] = table
-    if cut == d:
-        # vanishing window: degrees d+1 .. d+k have no quotient left
-        for r in range(d + 1, d + k + 1):
-            rows, monos, _ = ideal_slice(relations, k, r)
-            if not _slice_rank_certified(rows, len(monos), len(monos)):
-                raise AssertionError(f"{spec}: window degree {r} fails to vanish")
+        reduction[r] = {monos[piv]: {monos[j]: c for j, c in expr.items()}
+                        for piv, expr in reduced.items()}
+    if cut == d and not _window_vanishes(relations, k, d):
+        raise AssertionError(f"{spec}: degrees {d + 1}..{d + k} fail to vanish")
     return RingTable(spec, relations, basis, reduction, cut)
 
 
@@ -669,16 +631,6 @@ def table_to_dict(ring: RingTable) -> dict:
     }
 
 
-def _monomial_counts(k: int, top: int) -> list[int]:
-    """Number of monomials of each degree 0..top in c1..ck (deg ci = i):
-    the partitions of r into parts at most k."""
-    counts = [1] + [0] * top
-    for part in range(1, k + 1):
-        for r in range(part, top + 1):
-            counts[r] += counts[r - part]
-    return counts
-
-
 def _exponents(value, k: int, r: int):
     if (type(value) is not list or len(value) != k
             or any(type(e) is not int or e < 0 for e in value)
@@ -720,7 +672,6 @@ def table_from_dict(payload: dict) -> RingTable:
     if type(sections) is not list or len(sections) != d + 1:
         raise ValueError(f"expected {d + 1} degree sections")
     gauss = gaussian_binomial(n, k)
-    counts = _monomial_counts(k, d)
     basis: dict[int, list] = {}
     reduction: dict[int, dict] = {}
     for r, section in enumerate(sections):
@@ -742,9 +693,10 @@ def table_from_dict(payload: dict) -> RingTable:
             table[_exponents(piv, k, r)] = expr
         if len(table) != len(entries) or not table.keys().isdisjoint(monos):
             raise ValueError(f"degree {r}: pivots repeat or meet the basis")
-        if size + len(table) != counts[r]:
+        count = len(monomials_of_degree(k, r))
+        if size + len(table) != count:
             raise ValueError(f"degree {r}: basis and pivots cover "
-                             f"{size + len(table)} of {counts[r]} monomials")
+                             f"{size + len(table)} of {count} monomials")
         basis[r] = monos
         reduction[r] = table
     return RingTable(spec, relations, basis, reduction)

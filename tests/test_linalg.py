@@ -97,6 +97,9 @@ def test_modular_rref_equals_the_exact_path(mat):
     exact_pivots, exact_free = linalg._rref_exact(rows, ncols)
     assert free == exact_free
     assert pivots == exact_pivots
+    assert all(type(c) is (int if c.denominator == 1 else Fraction)
+               for expr in (*pivots.values(), *exact_pivots.values())
+               for c in expr.values())
     assert len(pivots) == fraction_rank(mat, ncols)
 
 

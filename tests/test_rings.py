@@ -185,6 +185,58 @@ def test_hilbert_check_slices_each_degree_once(monkeypatch):
     assert len(calls) == spec.dim + 1 + spec.k
 
 
+def _record_calls(monkeypatch, name):
+    calls = []
+    original = getattr(rings, name)
+
+    def recording(rows, ncols, *args):
+        calls.append((rows, ncols))
+        return original(rows, ncols, *args)
+
+    monkeypatch.setattr(rings, name, recording)
+    return calls
+
+
+def test_build_and_checks_share_one_reduction_per_degree(monkeypatch):
+    # one rule for every caller: integer_rref once per degree 0..dim, and
+    # the k window degrees above the top through rank_lower_bound_certified
+    spec = RingSpec(6, 3)
+    exact = []
+    original_exact = linalg.rank_exact
+    monkeypatch.setattr(linalg, "rank_exact",
+                        lambda *args: exact.append(args) or original_exact(*args))
+    assert not hasattr(rings, "rank_exact")
+    seen = []
+    for run in (lambda: build_ring(spec), lambda: hilbert_check(spec),
+                lambda: freeness_check(spec).ok):
+        with monkeypatch.context() as patch:
+            slices = _count_slices(patch)
+            reductions = _record_calls(patch, "integer_rref")
+            windows = _record_calls(patch, "rank_lower_bound_certified")
+            assert run()
+        assert len(reductions) == spec.dim + 1
+        assert [ncols for _, ncols in reductions] == [
+            len(rings.monomials_of_degree(spec.k, r)) for r in range(spec.dim + 1)]
+        assert len(windows) == spec.k
+        assert sorted(slices) == list(range(spec.dim + spec.k + 1))
+        seen.append((reductions, windows))
+    assert seen[0] == seen[1] == seen[2]
+    assert exact == []
+
+
+def test_redundant_relation_gives_the_standard_report():
+    # c1*h3 lies in the ideal, so the quotient is still G(4,2)'s, although
+    # three relations in two variables are not a regular sequence
+    spec = RingSpec(4, 2)
+    h3, h4 = grassmann_relations(spec)
+    redundant = [h3, h4, Polynomial.generator(2, 0) * h3]
+    report = freeness_check(spec, redundant)
+    standard = freeness_check(spec)
+    assert report.degrees == standard.degrees
+    assert report.ok and report.window_vanishes and report.hilbert_ok
+    assert hilbert_check(spec, redundant)
+
+
 # -- ring tables --------------------------------------------------------
 
 def test_betti_numbers_match_series(tables):
