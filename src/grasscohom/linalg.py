@@ -22,6 +22,11 @@ three jobs are:
   dense Smith form is only a last resort;
 * determinants and ranks used by the pairing and rank-profile checks
   (fraction-free Bareiss, and a mod-p rank shortcut with exact fallback).
+
+Every elimination modulo a prime, whatever its size, is the one dense
+routine `_echelon_mod_prime`: `integer_rref`, `rank_mod_prime` (the
+cokernel check's rank modulo each torsion candidate) and the first rung of
+`rank_lower_bound_certified` all call it.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ import numpy as np
 
 Row = dict  # column index -> nonzero coefficient
 
-_RANK_PRIME = (1 << 61) - 1  # Mersenne prime; collisions never trusted, only used
-                             # to certify *full* column rank cheaply
 _DENSE_PRIME = (1 << 31) - 1  # products of residues stay inside int64
 
 
@@ -319,52 +322,14 @@ def bareiss_determinant(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank_mod_prime(rows: list[Row], ncols: int, prime: int = _RANK_PRIME,
-                   stop: int | None = None) -> int:
-    """Rank of the matrix over F_prime (a lower bound for the rank over Q).
-
-    With `stop` set, returns as soon as that many pivots are found; rows are
-    visited lead-column-first so the early exit triggers quickly.
-    """
-    work = []
-    for row in rows:
-        r = {j: c % prime for j, c in row.items()}
-        r = {j: c for j, c in r.items() if c}
-        if r:
-            work.append(r)
-    work.sort(key=lambda r: (min(r), len(r)))
-    pivots: dict[int, Row] = {}
-    for row in work:
-        if stop is not None and len(pivots) >= stop:
-            break
-        while row:
-            lead = min(row)
-            pivot_row = pivots.get(lead)
-            if pivot_row is None:
-                inv = pow(row[lead], prime - 2, prime)
-                pivots[lead] = {j: (c * inv) % prime for j, c in row.items()}
-                break
-            factor = row[lead]
-            new_row: Row = {}
-            for j, c in row.items():
-                new_row[j] = c
-            for j, c in pivot_row.items():
-                acc = (new_row.get(j, 0) - factor * c) % prime
-                if acc:
-                    new_row[j] = acc
-                else:
-                    new_row.pop(j, None)
-            row = new_row
-    return len(pivots)
-
-
 def _echelon_mod_prime(rows: list[Row], ncols: int, prime: int,
                        stop: int | None = None,
                        reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Vectorized dense elimination over F_prime.
+    """Vectorized dense elimination over F_prime, for any prime.
 
-    Residues and their pairwise products fit in int64 for primes below
-    2^31.5, so the arithmetic is exact.  Returns (mat, pivot_cols): row i
+    Up to 2^31 - 1 residues and their pairwise products fit in int64;
+    above it the matrix holds Python ints (numpy object dtype), so the
+    arithmetic is exact either way.  Returns (mat, pivot_cols): row i
     of mat, for i < len(pivot_cols), is monic at pivot_cols[i] and zero
     left of it.  Below the pivot rows mat is zero (unless `stop` cut the
     elimination short after that many pivots); with `reduced` each pivot
@@ -372,7 +337,8 @@ def _echelon_mod_prime(rows: list[Row], ncols: int, prime: int,
     """
     m = len(rows)
     mat = _dense([(i, j, c % prime) for i, row in enumerate(rows)
-                  for j, c in row.items()], (m, ncols), np.int64)
+                  for j, c in row.items()], (m, ncols),
+                 np.int64 if prime <= _DENSE_PRIME else object)
     pivot_cols: list[int] = []
     for j in range(ncols):
         rank = len(pivot_cols)
@@ -396,30 +362,25 @@ def _echelon_mod_prime(rows: list[Row], ncols: int, prime: int,
     return mat, pivot_cols
 
 
-def rank_mod_prime_dense(rows: list[Row], ncols: int,
-                         prime: int = _DENSE_PRIME,
-                         stop: int | None = None) -> int:
+def rank_mod_prime(rows: list[Row], ncols: int, prime: int = _DENSE_PRIME,
+                   stop: int | None = None) -> int:
     """Rank over F_prime by `_echelon_mod_prime`, stopping after `stop`
     pivots.  Like every mod-p rank this is a lower bound for the rank over
-    Q; callers escalate on a shortfall.
-    """
+    Q."""
     return len(_echelon_mod_prime(rows, ncols, prime, stop)[1])
 
 
 def rank_lower_bound_certified(rows: list[Row], ncols: int, expected: int) -> bool:
     """True iff the rank over Q is at least `expected`, decided exactly.
 
-    Escalation ladder: dense 31-bit mod-p, sparse 61-bit mod-p, exact
-    fraction-free elimination.  Mod-p ranks only ever under-report, so a
-    hit at any tier is conclusive and a miss just escalates.
+    Two rungs: the rank mod 2^31 - 1 (`_echelon_mod_prime`), then exact
+    fraction-free elimination.  A mod-p rank only ever under-reports, so a
+    hit on the first rung is conclusive and a miss escalates.
     """
     if expected <= 0:
         return True
-    if rank_mod_prime_dense(rows, ncols, stop=expected) >= expected:
-        return True
-    if rank_mod_prime(rows, ncols, stop=expected) >= expected:
-        return True
-    return rank_exact(rows, ncols) >= expected
+    pivots = _echelon_mod_prime(rows, ncols, _DENSE_PRIME, expected)[1]
+    return len(pivots) >= expected or rank_exact(rows, ncols) >= expected
 
 
 def rank_exact(rows: list[Row], ncols: int) -> int:
@@ -661,11 +622,5 @@ def cokernel_is_free(rows: list[Row], ncols: int, rank: int,
         primes, leftover = _factor_completely(support)
     if leftover != 1:
         return smith_invariant_factors_all_one(core, ncc, need)
-    for p in primes:
-        if p < _DENSE_PRIME:
-            rank_p = rank_mod_prime_dense(core, ncc, prime=p, stop=need)
-        else:
-            rank_p = rank_mod_prime(core, ncc, prime=p, stop=need)
-        if rank_p < need:
-            return False
-    return True
+    return all(rank_mod_prime(core, ncc, prime=p, stop=need) >= need
+               for p in primes)

@@ -19,11 +19,10 @@ over monomials m of degree r - j):
   table, the Hilbert check and the freeness check all read that one
   reduction.  The k degrees above the top are only shown to vanish
   (`_window_vanishes`): `linalg.rank_lower_bound_certified` proves full
-  column rank mod 2^31 - 1, else mod 2^61 - 1, else exactly, so no
-  conclusion rests on a prime alone.  Each monomial of a higher degree is
-  a generator times a monomial in that window, so every higher degree
-  vanishes too, and the Hilbert series is read off the free-column counts
-  of degrees 0..dim.
+  column rank mod 2^31 - 1, else exactly, so no conclusion rests on a
+  prime alone.  Each monomial of a higher degree is a generator times a
+  monomial in that window, so every higher degree vanishes too, and the
+  Hilbert series is read off the free-column counts of degrees 0..dim.
 * freeness: integer row operations only; see `linalg.cokernel_is_free`.
 * table: `build_ring` takes each degree's reductions from
   `linalg.integer_rref`, which row-reduces the slice modulo p = 2^31 - 1,
@@ -159,26 +158,6 @@ def gaussian_binomial(n: int, k: int) -> list[int]:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
     return coeffs
-
-
-def box_partition_count(r: int, rows: int, cols: int) -> int:
-    """Number of partitions of r with at most `rows` parts, each <= `cols`."""
-    if r < 0:
-        return 0
-    # knapsack over part sizes 1..cols, tracking how many parts are used
-    table = [[0] * (r + 1) for _ in range(rows + 1)]
-    table[0][0] = 1
-    for part in range(1, cols + 1):
-        for used in range(rows, -1, -1):
-            for total in range(r + 1):
-                if table[used][total]:
-                    add = table[used][total]
-                    u, t = used + 1, total + part
-                    while u <= rows and t <= r:
-                        table[u][t] += add
-                        u += 1
-                        t += part
-    return sum(table[used][r] for used in range(rows + 1))
 
 
 def rectangle_tableau_count(rows: int, cols: int) -> int:
@@ -432,28 +411,26 @@ def build_ring(spec: RingSpec, through: int | None = None) -> RingTable:
     for a complete table, certify the vanishing window above the top.
 
     The basis in each degree consists of the non-pivot monomials; its size
-    is checked against the box-partition count and the q-binomial, two
-    independently computed predictions.  Each degree is reduced on its
-    own, so a cut table agrees with the complete one in every degree it
-    holds.
+    is checked against the q-binomial coefficient [n k]_q[r].  Each degree
+    is reduced on its own, so a cut table agrees with the complete one in
+    every degree it holds.  A cut below the top and at or below degree n-k
+    lies under every relation (degrees n-k+1..n), so it holds no relations
+    and never computes them.
     """
     k = spec.k
     d = spec.dim
     cut = d if through is None else min(through, d)
-    relations = grassmann_relations(spec)
+    relations = () if cut < d and cut <= spec.n - k else grassmann_relations(spec)
     gauss = gaussian_binomial(spec.n, k)
     basis: dict[int, list] = {}
     reduction: dict[int, dict] = {}
     for r, (_, monos, reduced, free_cols) in enumerate(
             _graded_reduction(relations, k, cut)):
-        expected = box_partition_count(r, k, spec.n - k)
-        if len(free_cols) != expected:
+        if len(free_cols) != gauss[r]:
             raise AssertionError(
                 f"{spec} degree {r}: basis size {len(free_cols)}, "
-                f"expected {expected}"
+                f"expected {gauss[r]}"
             )
-        if expected != gauss[r]:
-            raise AssertionError("box count disagrees with q-binomial")
         basis[r] = [monos[j] for j in free_cols]
         reduction[r] = {monos[piv]: {monos[j]: c for j, c in expr.items()}
                         for piv, expr in reduced.items()}

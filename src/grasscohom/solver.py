@@ -632,21 +632,14 @@ def admissible_tuples(k_max: int, l_max: int, m_max: int, n_max: int,
     return out
 
 
-def _jsonable(value):
-    """Normalize to JSON-native types so serialized certificates compare
-    equal to freshly built ones."""
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class RigidityCertificate:
-    """Replayable record of one rigidity decision."""
+    """Replayable record of one rigidity decision.
+
+    Every field holds JSON-native values only (str, int, bool, None, lists
+    and str-keyed dicts), so `to_dict` converts nothing and a JSON round
+    trip gives back an equal payload.
+    """
 
     parameters: dict
     strict_inequality: bool
@@ -660,14 +653,14 @@ class RigidityCertificate:
     def to_dict(self) -> dict:
         return {
             "schema": CERT_SCHEMA,
-            "parameters": _jsonable(self.parameters),
+            "parameters": self.parameters,
             "strict_inequality": self.strict_inequality,
-            "hypotheses": _jsonable(self.hypotheses),
+            "hypotheses": self.hypotheses,
             "hypotheses_ok": self.hypotheses_ok,
             "method": self.method,
             "conclusion": self.conclusion,
-            "budgets": _jsonable(self.budgets),
-            "evidence": _jsonable(self.evidence),
+            "budgets": self.budgets,
+            "evidence": self.evidence,
         }
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import grasscohom.cli as cli
+import grasscohom.rings as rings
 from grasscohom.cache import RingCache
 from grasscohom.cli import main
 from grasscohom.rings import RingSpec
@@ -165,6 +166,29 @@ def test_replay_round_trip(capsys, tmp_path):
     assert code == 0
     path.write_text(out)
 
+    code, out, _ = run_cli(capsys, "replay-cert", str(path),
+                           "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["match"] is True
+
+
+def test_certify_and_replay_skip_the_relations_of_a_huge_target(
+        capsys, tmp_path, monkeypatch):
+    # the target G(100000,2) is read through degree 3, below its first
+    # relation (degree 99999); asking for its relations would hang
+    original = rings.grassmann_relations
+
+    def guarded(spec):
+        assert spec.n < 100000, f"relations of {spec} computed"
+        return original(spec)
+
+    monkeypatch.setattr(rings, "grassmann_relations", guarded)
+    path = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "certify", "1", "2", "100000", "3",
+                           "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["conclusion"] == "only-trivial"
+    path.write_text(out)
     code, out, _ = run_cli(capsys, "replay-cert", str(path),
                            "--format", "json", "--cache-dir", str(tmp_path))
     assert code == 0

@@ -15,12 +15,15 @@ from grasscohom.linalg import (
     rank_exact,
     rank_lower_bound_certified,
     rank_mod_prime,
-    rank_mod_prime_dense,
     row_content,
     rows_in_kernel,
     smith_invariant_factors_all_one,
     unit_echelon,
 )
+
+
+P31 = (1 << 31) - 1
+P61 = (1 << 61) - 1
 
 
 def dense_to_rows(mat):
@@ -151,11 +154,25 @@ def test_rank_paths_agree(mat):
     assert len(integer_rref([dict(r) for r in rows], 4)[0]) == expected
     # the forward phase alone counts the pivots back-substitution keeps
     assert rank_exact(rows, 4) == len(integer_rref(rows, 4)[0])
-    # mod-p ranks never exceed the rational rank and certification matches
-    assert rank_mod_prime([dict(r) for r in rows], 4) <= expected
-    assert rank_mod_prime_dense([dict(r) for r in rows], 4) <= expected
+    # every minor is at most 18^4 in absolute value, below both primes, so
+    # no nonzero minor vanishes mod p and the mod-p rank is the rank over Q
+    for prime in (P31, P61):
+        assert rank_mod_prime([dict(r) for r in rows], 4, prime) == expected
     assert rank_lower_bound_certified([dict(r) for r in rows], 4, expected)
     assert not rank_lower_bound_certified([dict(r) for r in rows], 4, expected + 1)
+
+
+def test_rank_mod_prime_above_int64_products():
+    # a row of multiples of p vanishes mod p
+    assert rank_mod_prime([{0: P61}, {1: 1}], 2, P61) == 1
+    # entries near 2^62, residues near 2^61: their products overflow int64,
+    # so only exact arithmetic gets the determinant mod p right
+    x, y, t = (1 << 62) - 3, (1 << 62) + 7, (1 << 40) + 1
+    for shift in (0, 1):
+        rows = [{0: x, 1: y},
+                {0: t * x % P61 + P61, 1: (t * y + shift) % P61 + 2 * P61}]
+        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        assert rank_mod_prime(rows, 2, P61) == (2 if det % P61 else 1) == 1 + shift
 
 
 def test_full_column_rank():

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 import grasscohom.rings as rings
 from grasscohom import linalg
 from grasscohom.cache import RingCache, get_table
-from grasscohom.polynomials import Polynomial, parse_polynomial
+from grasscohom.polynomials import Polynomial, monomials_of_degree, parse_polynomial
 from grasscohom.rings import (
     RingElement,
     RingSpec,
-    box_partition_count,
     build_ring,
     freeness_check,
     gaussian_binomial,
@@ -64,10 +63,13 @@ def test_gaussian_binomial_identities(n, data):
     assert sum(coeffs) == math.comb(n, k)
     assert coeffs == coeffs[::-1]
     assert coeffs == gaussian_binomial(n, n - k)
-    # coefficient r counts partitions of r inside a k x (n-k) box
-    assert all(
-        c == box_partition_count(r, k, n - k) for r, c in enumerate(coeffs)
-    )
+    # coefficient r counts partitions of r inside a k x (n-k) box; by
+    # conjugation, the degree-r monomials c1^e1..ck^ek (part i taken e_i
+    # times) with at most n-k parts, e1 + ... + ek <= n-k
+    assert coeffs == [
+        sum(1 for e in monomials_of_degree(k, r) if sum(e) <= n - k)
+        for r in range(len(coeffs))
+    ]
 
 
 def test_rectangle_tableau_count_frozen():
@@ -385,6 +387,32 @@ def test_cut_at_or_above_the_top_is_complete():
     assert ring.through == 4
     assert ring.top_unit is not None
     assert ring.betti_numbers == [1, 1, 2, 1, 1]
+
+
+def test_cut_below_every_relation_never_computes_them(monkeypatch):
+    # G(100000,2) has its first relation in degree 99999: a cut through
+    # degree 3 needs none, and expanding the inverse series to degree
+    # 100000 would hang, so the counter refuses that ring
+    asked = []
+    original = rings.grassmann_relations
+
+    def counting(spec):
+        asked.append(spec)
+        assert spec.n < 100000, f"relations of {spec} computed"
+        return original(spec)
+
+    monkeypatch.setattr(rings, "grassmann_relations", counting)
+    ring = build_ring(RingSpec(100000, 2), through=3)
+    assert asked == []
+    assert ring.through == 3
+    for r in range(4):
+        assert ring.basis[r] == list(monomials_of_degree(2, r))
+        assert ring.reduction[r] == {}
+    # a complete table needs them for its window, even when dim = n - k,
+    # and a cut above n - k for its slices
+    build_ring(RingSpec(5, 1))
+    build_ring(RingSpec(6, 2), through=5)
+    assert asked == [RingSpec(5, 1), RingSpec(6, 2)]
 
 
 # -- serialization and caching ------------------------------------------

@@ -248,12 +248,20 @@ def test_certify_reports_failed_hypotheses(tables):
 
 
 def test_certificate_replay_round_trip(tables):
-    cert = certify_rigidity(2, 3, 9, 5, cache=tables)
-    payload = json.loads(json.dumps(cert.to_dict()))
-    ok, mismatched, fresh = replay_certificate(payload, cache=tables)
-    assert ok
-    assert mismatched == []
-    assert fresh.conclusion == cert.conclusion
+    cases = [((2, 3, 9, 5), None, "only-trivial"),
+             ((3, 4, 9, 7), Budgets(max_steps=1), "inconclusive"),
+             ((2, 2, 9, 5), None, "unverified-hypotheses")]
+    for args, budgets, conclusion in cases:
+        cert = certify_rigidity(*args, budgets=budgets, cache=tables)
+        assert cert.conclusion == conclusion
+        # the fields are JSON-native: a round trip changes no value or type
+        # (a tuple, a Fraction or an int key would come back different)
+        payload = json.loads(json.dumps(cert.to_dict()))
+        assert payload == cert.to_dict()
+        ok, mismatched, fresh = replay_certificate(payload, cache=tables)
+        assert ok
+        assert mismatched == []
+        assert fresh.conclusion == conclusion
 
 
 def test_certificate_replay_flags_tampering(tables):
