@@ -311,11 +311,13 @@ def minimal_polynomial(gb: list[Polynomial], var: int, nvars: int,
     raise AssertionError("no dependence found within staircase dimension")
 
 
-def rational_roots(coeffs: list) -> list[Fraction]:
+def rational_roots(coeffs: list, meter: _Meter | None = None) -> list[Fraction]:
     """All rational roots of sum(coeffs[i] * x^i), exact.
 
     Uses the rational root theorem after clearing denominators; the zero
-    root is reported when the trailing coefficient vanishes.
+    root is reported when the trailing coefficient vanishes.  Every trial
+    divisor counts as one step against the meter, since the search runs
+    up to the square root of the end coefficients.
     """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -343,6 +345,8 @@ def rational_roots(coeffs: list) -> list[Fraction]:
         out = []
         d = 1
         while d * d <= v:
+            if meter is not None:
+                meter.tick()
             if v % d == 0:
                 out.append(d)
                 if d != v // d:
@@ -350,8 +354,9 @@ def rational_roots(coeffs: list) -> list[Fraction]:
             d += 1
         return sorted(out)
 
+    leading_divisors = divisors(an)
     for p in divisors(a0):
-        for q in divisors(an):
+        for q in leading_divisors:
             if gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
@@ -364,12 +369,14 @@ def rational_roots(coeffs: list) -> list[Fraction]:
     return roots
 
 
-def binary_form_rational_zeros(poly: Polynomial, u: int, v: int) -> list[tuple]:
+def binary_form_rational_zeros(poly: Polynomial, u: int, v: int,
+                               meter: _Meter | None = None) -> list[tuple]:
     """Nontrivial rational zeros (up to scaling) of a form in x_u, x_v.
 
     The polynomial must involve only those two variables and be homogeneous
     in them; returns representative (value_u, value_v) pairs, one per
-    projective root, empty when the form is anisotropic over Q.
+    projective root, empty when the form is anisotropic over Q.  The
+    root search charges `meter` as `rational_roots` does.
     """
     degs = set()
     for e, c in poly.terms.items():
@@ -389,6 +396,6 @@ def binary_form_rational_zeros(poly: Polynomial, u: int, v: int) -> list[tuple]:
         zeros.append((Fraction(0), Fraction(1)))
     # every other zero has x_u nonzero: dehomogenize t = x_v / x_u,
     # so t = 0 covers the (1 : 0) point
-    for root in rational_roots(coeff):
+    for root in rational_roots(coeff, meter):
         zeros.append((Fraction(1), root))
     return zeros

@@ -13,17 +13,34 @@ interesting question is whether anything else does.
 
 1. substitute pinned and forced-zero unknowns, repeatedly;
 2. linear constraints: row reduce, variables with no freedom are zero;
-3. single-variable constraints: rational roots, {0} forces the variable;
-4. two-variable homogeneous constraints: a form with no nontrivial
-   rational zero kills both variables (recorded as rational-only, since
-   the form may still vanish over the closure);
-5. Groebner basis of what is left; when zero-dimensional, the rational
+3. single-variable constraints: a pure power u^e = 0 forces u = 0;
+4. once steps 1-3 stop forcing anything, the Macaulay rung (Macaulay
+   1916; Lazard 1983).  The unknowns of source generator c_i get weight
+   i, which makes every constraint weighted-homogeneous of its relation
+   degree.  If the degree-D Macaulay matrix (rows t*f, a column for
+   every monomial of weight D) has full column rank mod 2^31 - 1 for w
+   consecutive D from D0, with w the largest live weight, then every
+   monomial of weight >= D0 lies in the ideal, so zero is the only
+   solution over the algebraic closure.  Full rank mod p gives a nonzero
+   maximal minor over Z, so the proof is exact.  The rung is skipped
+   when fewer constraints than unknowns are live, an unknown occurs in
+   none of them, or the identity pattern solves the system (a nonzero
+   solution exists), and it gives way to
+   the steps below past the Macaulay degree bound or
+   `_MACAULAY_CELL_CAP` matrix entries; its rows count against the step
+   budget;
+5. single-variable constraints with only rational root 0 force the
+   variable, and a two-variable form with no nontrivial rational zero
+   kills both variables (both recorded as rational-only, since they may
+   still vanish over the closure);
+6. Groebner basis of what is left; when zero-dimensional, the rational
    points are enumerated exactly through per-variable minimal
    polynomials and checked against every constraint;
-6. otherwise a deterministic witness search over a small rational grid,
+7. otherwise a deterministic witness search over a small rational grid,
    trying the identity pattern first for endomorphism systems;
-7. anything still undecided is reported as Inconclusive with the reason,
-   never silently truncated.
+8. anything still undecided is reported as Inconclusive with the reason,
+   never silently truncated.  Every rational-root search is metered by
+   the step budget too.
 
 Nonzero solutions are returned as verified homomorphisms (the
 well-definedness check is re-run on the reconstructed map, a separate
@@ -39,21 +56,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import ClassVar
 
 from .cache import RingCache, get_table
 from .groebner import (
     BudgetExceeded,
     Budgets,
+    _Meter,
     binary_form_rational_zeros,
     buchberger,
     is_zero_dimensional,
     minimal_polynomial,
     rational_roots,
 )
-from .linalg import clear_denominators, integer_rref
+from .linalg import clear_denominators, integer_rref, normalize_row, rank_mod_prime
 from .maps import GradedHom, check_well_defined, compose, compose_alpha_beta, hom_to_dict
-from .polynomials import Polynomial, mono_degree
+from .polynomials import Polynomial, mono_degree, mono_mul
 from .rings import RingSpec, generator_element, grassmann_relations
 
 CERT_SCHEMA = "grasscohom.rigidity-certificate/1"
@@ -62,6 +81,10 @@ CERT_SCHEMA = "grasscohom.rigidity-certificate/1"
 _GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                 Fraction(-2), Fraction(1, 2), Fraction(-1, 2))
 _GRID_CAP = 200_000
+# the Macaulay rung: ranks mod this prime, and matrix entries (rows times
+# columns) before it gives way to the rest of the ladder
+_MACAULAY_PRIME = (1 << 31) - 1
+_MACAULAY_CELL_CAP = 1 << 20
 
 
 # -- system construction ------------------------------------------------
@@ -220,7 +243,8 @@ def build_hom_system(source: RingSpec, target: RingSpec,
 class OnlyTrivial:
     """Zero is the only rational solution; `closure` marks when the
     argument also rules out every solution over the algebraic closure
-    (all forcing steps were closure-valid, e.g. pure powers u^e = 0)."""
+    (all forcing steps were closure-valid, e.g. pure powers u^e = 0, or
+    the Macaulay rung decided)."""
 
     closure: bool
     steps: tuple[str, ...]
@@ -317,7 +341,9 @@ def _verified_witness(system: HomSystem, assignment: list[Fraction],
     return WitnessFound(hom, tuple(assignment), tuple(steps))
 
 
-def _identity_assignment(system: HomSystem) -> list[Fraction] | None:
+def _identity_solution(system: HomSystem) -> list[Fraction] | None:
+    """The identity pattern of an endomorphism system, when it keeps the
+    pins at zero and solves every constraint."""
     if system.source != system.target:
         return None
     assignment = [Fraction(0)] * system.unknown_count
@@ -326,7 +352,112 @@ def _identity_assignment(system: HomSystem) -> list[Fraction] | None:
                          for t in range(system.target.k))
         if u.basis_monomial == gen_mono:
             assignment[idx] = Fraction(1)
-    return assignment if any(assignment) else None
+    if not any(assignment) or any(assignment[i] for i in system.pinned):
+        return None
+    if all(c.evaluate(assignment) == 0 for c in system.constraints):
+        return assignment
+    return None
+
+
+def macaulay_degrees(polys: list[Polynomial], weights: tuple[int, ...],
+                     meter: _Meter) -> tuple[int, list[tuple[int, int, int, int]]] | None:
+    """Prove that polys have no common zero but 0 over the algebraic closure.
+
+    Variable v has weight weights[v] and every poly must be homogeneous
+    for these weights.  The degree-D Macaulay matrix has a row t*f for
+    each poly f and each monomial t of weight D - deg f, and a column for
+    each monomial of weight D; full column rank puts every monomial of
+    weight D in the ideal.  If that holds for w = max(weights)
+    consecutive degrees D0..D0+w-1, every monomial of weight >= D0 lies
+    in the ideal (strip a variable and induct), so the variety is the
+    origin.  Ranks are taken mod p after clearing each row's
+    denominators: full column rank mod p gives a nonzero maximal minor
+    over Z, hence full rank over Q and over every extension.
+
+    Returns (D0, [(D, rows, columns, rank) for every degree tried]), or
+    None when there are fewer polys than variables, a variable occurs in
+    no poly, D passes the Macaulay bound (the sum of the len(weights)
+    largest degrees minus the weight sum, plus w) or a matrix passes
+    `_MACAULAY_CELL_CAP` entries.  Each matrix row is one meter step.
+    """
+    by_degree: dict[int, list[dict]] = {}
+    seen: set[tuple] = set()
+    for p in polys:
+        weight = {sum(x * w for x, w in zip(e, weights)) for e in p.terms}
+        if len(weight) != 1:
+            raise AssertionError(f"constraint {p.to_text()} is not "
+                                 "weighted-homogeneous")
+        row = normalize_row(clear_denominators(
+            {e: Fraction(c) for e, c in p.terms.items()})[0])
+        key = tuple(sorted(row.items()))
+        if key not in seen:
+            seen.add(key)
+            by_degree.setdefault(weight.pop(), []).append(row)
+    nvars = len(weights)
+    occurring = {v for rows in by_degree.values() for row in rows
+                 for e in row for v, x in enumerate(e) if x}
+    if len(seen) < nvars or len(occurring) < nvars:
+        return None
+    top = max(weights)
+    degrees = sorted(d for d, rows in by_degree.items() for _ in rows)
+    last = sum(degrees[-nvars:]) - sum(weights) + top
+    counts = [1] + [0] * last  # counts[D]: monomials of weight D
+    for w in weights:
+        for d in range(w, last + 1):
+            counts[d] += counts[d - w]
+
+    @lru_cache(maxsize=None)
+    def monomials(first: int, total: int) -> tuple[tuple, ...]:
+        if first == nvars:
+            return ((),) if total == 0 else ()
+        w = weights[first]
+        return tuple((e, *rest) for e in range(total // w + 1)
+                     for rest in monomials(first + 1, total - e * w))
+
+    tried: list[tuple[int, int, int, int]] = []
+    run = 0
+    # a regular sequence is certified from last - top + 1 on, which can lie
+    # below every constraint degree: a weight no monomial has is vacuously full
+    for degree in range(max(1, min(degrees[0], last - top + 1)), last + 1):
+        ncols = counts[degree]
+        nrows = sum(counts[degree - d] * len(rows)
+                    for d, rows in by_degree.items() if d <= degree)
+        if nrows * ncols > _MACAULAY_CELL_CAP:
+            return None
+        meter.tick(nrows)
+        column = {m: j for j, m in enumerate(monomials(0, degree))}
+        matrix = [{column[mono_mul(t, e)]: c for e, c in row.items()}
+                  for d, rows in by_degree.items() if d <= degree
+                  for t in monomials(0, degree - d) for row in rows]
+        rank = rank_mod_prime(matrix, ncols, _MACAULAY_PRIME, stop=ncols)
+        tried.append((degree, nrows, ncols, rank))
+        run = run + 1 if rank == ncols else 0
+        if run == top:
+            return degree - top + 1, tried
+    return None
+
+
+def _macaulay_step(system: HomSystem, live: list[Polynomial],
+                   remaining: list[int], meter: _Meter) -> str | None:
+    """The Macaulay rung on the live constraints in the remaining unknowns,
+    each weighted by its generator degree: the step text when it proves
+    zero the only solution over the algebraic closure, else None."""
+    var_map = {old: new for new, old in enumerate(remaining)}
+    weights = tuple(system.unknowns[v].generator for v in remaining)
+    proof = macaulay_degrees([_project(p, var_map, len(remaining)) for p in live],
+                             weights, meter)
+    if proof is None:
+        return None
+    start, tried = proof
+    return ("Macaulay matrices mod " + str(_MACAULAY_PRIME) + ", weights "
+            + ", ".join(f"{system.unknowns[v].name}:{w}"
+                        for v, w in zip(remaining, weights))
+            + "; " + "; ".join(f"degree {d}: {r}x{c} rank {k}"
+                               for d, r, c, k in tried)
+            + f"; full column rank in the {max(weights)} consecutive degrees "
+            f"from D0 = {start}, so every monomial of weight >= {start} lies "
+            "in the ideal and zero is the only solution over the algebraic "
+            "closure")
 
 
 def solve_system(system: HomSystem, budgets: Budgets | None = None,
@@ -340,6 +471,11 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
         return poly.to_text(names)
 
     steps: list[str] = []
+
+    def aborted(stage: str, failure: BudgetExceeded) -> Inconclusive:
+        steps.append(f"{stage} aborted: {failure.what}")
+        return Inconclusive(failure.what, tuple(steps))
+
     forced: set[int] = set(system.pinned)
     if system.pinned:
         steps.append("pinned to zero: "
@@ -350,6 +486,9 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
 
     closure_ok = True
     stashed_roots: dict[int, set[Fraction]] = {}
+    identity = _identity_solution(system)
+    # rational-only moves wait until the Macaulay rung has had its one try
+    rung_tried = False
 
     while True:
         live = [q for q in (_subs_zero(p, forced) for p in system.constraints)
@@ -372,14 +511,19 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
             support = _support(p)
             if len(support) != 1 or support[0] in forced:
                 continue
+            pure = len(p.terms) == 1
+            if not (pure or rung_tried):
+                continue
             var = support[0]
             degree = p.max_degree()
             coeffs = [Fraction(0)] * (degree + 1)
             for e, c in p.terms.items():
                 coeffs[e[var]] += Fraction(c)
-            roots = rational_roots(coeffs)
+            try:
+                roots = rational_roots(coeffs, _Meter(budgets))
+            except BudgetExceeded as failure:
+                return aborted("rational-root search", failure)
             if roots == [Fraction(0)]:
-                pure = len(p.terms) == 1
                 closure_ok = closure_ok and pure
                 note = "" if pure else " (rational-only)"
                 steps.append(f"{render(p)} = 0 forces {names[var]} = 0{note}")
@@ -391,14 +535,30 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
         if progressed:
             continue
 
+        if not rung_tried:
+            # every move so far holds over the algebraic closure
+            rung_tried = True
+            try:
+                proof = (None if identity is not None else
+                         _macaulay_step(system, live, remaining, _Meter(budgets)))
+            except BudgetExceeded as failure:
+                return aborted("Macaulay rung", failure)
+            if proof is not None:
+                steps.append(proof)
+                return OnlyTrivial(True, tuple(steps))
+            continue
+
         for p in live:
             support = _support(p)
             if len(support) != 2 or any(v in forced for v in support):
                 continue
             try:
-                zeros = binary_form_rational_zeros(p, support[0], support[1])
+                zeros = binary_form_rational_zeros(p, support[0], support[1],
+                                                   _Meter(budgets))
             except ValueError:
                 continue
+            except BudgetExceeded as failure:
+                return aborted("rational-root search", failure)
             if not zeros:
                 closure_ok = False
                 steps.append(
@@ -437,8 +597,7 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
     try:
         gb = buchberger(projected, budgets)
     except BudgetExceeded as failure:
-        steps.append(f"elimination aborted: {failure.what}")
-        return Inconclusive(failure.what, tuple(steps))
+        return aborted("elimination", failure)
 
     if any(not p.is_zero() and p.max_degree() == 0 for p in gb):
         raise AssertionError("constraint system excludes the zero map")
@@ -447,10 +606,9 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
         try:
             minpolys = [minimal_polynomial(gb, v, len(remaining), budgets)
                         for v in range(len(remaining))]
+            roots = [rational_roots(mp, _Meter(budgets)) for mp in minpolys]
         except BudgetExceeded as failure:
-            steps.append(f"minimal-polynomial stage aborted: {failure.what}")
-            return Inconclusive(failure.what, tuple(steps))
-        roots = [rational_roots(mp) for mp in minpolys]
+            return aborted("minimal-polynomial stage", failure)
         pure = all(all(c == 0 for c in mp[:-1]) for mp in minpolys)
         steps.append(
             "zero-dimensional after elimination; minimal-polynomial degrees: "
@@ -491,11 +649,9 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
                 values.append(extra)
         candidates.append(values)
 
-    ident = _identity_assignment(system)
-    if ident is not None and not any(ident[i] for i in forced):
-        if all(c.evaluate(ident) == 0 for c in system.constraints):
-            steps.append("identity pattern solves the system")
-            return _verified_witness(system, ident, steps, cache)
+    if identity is not None:
+        steps.append("identity pattern solves the system")
+        return _verified_witness(system, identity, steps, cache)
 
     tested = 0
     for combo in itertools.product(*candidates):

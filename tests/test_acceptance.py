@@ -12,7 +12,7 @@ import math
 import random
 import time
 
-from grasscohom.groebner import buchberger, reduce_poly
+from grasscohom.groebner import Budgets, buchberger, reduce_poly
 from grasscohom.maps import (
     GradedHom,
     check_well_defined,
@@ -181,6 +181,32 @@ def test_acceptance_rigidity_certificates(capsys, tables):
     if failures:
         detail = "; ".join(failures[:4])
     _report(capsys, "rigidity-certificates", ok, detail)
+    assert ok, detail
+
+
+# the paper's binding range beyond k = 2: each tuple satisfies every
+# hypothesis, and (4,5,33,*) and (4,6,34,10) sit on the quadratic bound
+# m - l > 2k^2 - k - 1 = 27
+BINDING_RANGE = [(3, 4, 19, 6), (3, 4, 19, 7), (3, 5, 20, 8), (3, 4, 25, 9),
+                 (4, 5, 33, 8), (4, 5, 33, 9), (4, 5, 33, 10), (4, 6, 34, 10)]
+
+
+def test_acceptance_binding_range(capsys, tables):
+    failures = []
+    for tup in BINDING_RANGE:
+        cert = certify_rigidity(*tup, budgets=Budgets(max_steps=200_000), cache=tables)
+        if not cert.hypotheses_ok:
+            failures.append(f"{tup} fails the hypothesis checklist")
+        elif cert.conclusion != "only-trivial":
+            failures.append(f"{tup} concluded {cert.conclusion}")
+        elif cert.evidence["over_algebraic_closure"] is not True:
+            failures.append(f"{tup} is only-trivial over Q only")
+    ok = not failures
+    detail = (f"{len(BINDING_RANGE)} tuples with k = 3, 4 certify only-trivial "
+              "over the algebraic closure within 200000 steps")
+    if failures:
+        detail = "; ".join(failures)
+    _report(capsys, "binding-range", ok, detail)
     assert ok, detail
 
 

@@ -1,10 +1,14 @@
+import dataclasses
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grasscohom.groebner import Budgets
+from grasscohom.groebner import Budgets, _Meter
 from grasscohom.maps import apply_hom, check_well_defined, zero_hom
-from grasscohom.polynomials import parse_polynomial
+from grasscohom.polynomials import Polynomial, parse_polynomial
 from grasscohom.rings import RingSpec
 from grasscohom.solver import (
     Inconclusive,
@@ -17,6 +21,7 @@ from grasscohom.solver import (
     conjecture_scan,
     endo_reduction,
     hypothesis_checklist,
+    macaulay_degrees,
     replay_certificate,
     solve_system,
 )
@@ -107,7 +112,8 @@ def test_cross_case_closure_strong(tables):
     out = solve_system(system, cache=tables)
     assert isinstance(out, OnlyTrivial)
     assert out.closure is True
-    assert any("zero-dimensional" in line for line in out.steps)
+    assert "Macaulay matrices" in out.steps[-1]
+    assert "from D0 = 7," in out.steps[-1]
 
 
 def test_univariate_source_closure_strong(tables):
@@ -149,6 +155,107 @@ def test_scaled_restriction_also_well_defined(tables):
         parse_polynomial("1/4*c2", 2),
     ))
     assert check_well_defined(half, tables).ok
+
+
+def test_huge_binary_form_runs_into_the_budget(tables):
+    # u2_0^2 + N*u2_1^2: its rational-root search would try every divisor
+    # of N up to sqrt(N); one constraint in two unknowns skips the rung
+    spec = RingSpec(6, 2)
+    system = build_hom_system(spec, spec, pin_c1_zero=True, cache=tables)
+    form = parse_polynomial(f"c2^2 + {10 ** 29 + 7}*c3^2", system.unknown_count)
+    system = dataclasses.replace(system, constraints=(form,),
+                                 constraint_labels=system.constraint_labels[:1])
+    out = solve_system(system, budgets=Budgets(max_steps=1000), cache=tables)
+    assert isinstance(out, Inconclusive)
+    assert out.reason == "step budget exhausted"
+    assert out.steps[-1].startswith("rational-root search aborted")
+
+
+# -- the Macaulay rung --------------------------------------------------
+
+def _weighted_monomials(weights, degree):
+    return [e for e in itertools.product(*(range(degree // w + 1) for w in weights))
+            if sum(x * w for x, w in zip(e, weights)) == degree]
+
+
+_NONZERO = st.integers(-4, 4).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_macaulay_rung_never_certifies_a_planted_point(data):
+    # subtracting f(a) * m / m(a) from each f, with m a monomial of f's
+    # weight, makes the nonzero rational point a a common zero
+    weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    point = [Fraction(data.draw(_NONZERO), data.draw(st.integers(1, 3)))
+             for _ in weights]
+    polys = []
+    for _ in range(data.draw(st.integers(len(weights), len(weights) + 2))):
+        monos = _weighted_monomials(weights, data.draw(st.integers(1, 6)))
+        if not monos:
+            continue
+        f = Polynomial(len(weights), {m: data.draw(_NONZERO) for m in monos})
+        anchor = Polynomial.monomial(data.draw(st.sampled_from(monos)))
+        planted = f - anchor.scale(Fraction(f.evaluate(point)) / anchor.evaluate(point))
+        if not planted.is_zero():
+            polys.append(planted)
+    assert all(p.evaluate(point) == 0 for p in polys)
+    assert macaulay_degrees(polys, weights, _Meter(Budgets())) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=3))
+def test_macaulay_rung_certifies_pure_powers(pairs):
+    # every monomial of weight above sum((e - 1) * w) is a multiple of
+    # some x_v^e_v, which the Macaulay bound reaches
+    weights = tuple(w for w, _ in pairs)
+    polys = [Polynomial.generator(len(pairs), v, e) for v, (_, e) in enumerate(pairs)]
+    proof = macaulay_degrees(polys, weights, _Meter(Budgets()))
+    assert proof is not None
+    start, tried = proof
+    assert start <= sum((e - 1) * w for w, e in pairs) + 1
+    window = tried[-max(weights):]
+    assert [d for d, _, _, _ in window] == list(range(start, start + max(weights)))
+    assert all(rank == cols for _, _, cols, rank in window)
+
+
+def test_macaulay_rung_rejects_inhomogeneous_input():
+    with pytest.raises(AssertionError):
+        macaulay_degrees([parse_polynomial("c1^2 + c2", 2)], (1, 1), _Meter(Budgets()))
+
+
+def test_pinned_even_grassmannians_are_closure_strong(tables):
+    # the binary-form rung used to decide these, over Q only
+    for j in range(3, 8):
+        spec = RingSpec(2 * j, 2)
+        out = solve_system(build_hom_system(spec, spec, pin_c1_zero=True, cache=tables),
+                           cache=tables)
+        assert isinstance(out, OnlyTrivial)
+        assert out.closure is True
+        assert out.steps[-1].startswith("Macaulay matrices")
+
+
+def test_unpinned_endomorphisms_skip_the_rung(tables, monkeypatch):
+    import grasscohom.solver as solver
+
+    def rung(*args):
+        raise AssertionError("the identity solves the system; the rung cannot succeed")
+
+    monkeypatch.setattr(solver, "macaulay_degrees", rung)
+    for n in range(4, 8):
+        spec = RingSpec(n, 2)
+        out = solve_system(build_hom_system(spec, spec, cache=tables), cache=tables)
+        assert isinstance(out, WitnessFound)
+        assert [p.to_text() for p in out.hom.images] == ["c1", "c2"]
+
+
+def test_rung_charges_its_rows_to_the_budget(tables):
+    spec = RingSpec(6, 2)
+    system = build_hom_system(spec, spec, pin_c1_zero=True, cache=tables)
+    out = solve_system(system, budgets=Budgets(max_steps=1), cache=tables)
+    assert isinstance(out, Inconclusive)
+    assert out.reason == "step budget exhausted"
+    assert out.steps[-1] == "Macaulay rung aborted: step budget exhausted"
 
 
 # -- shortcut and reduction ---------------------------------------------
