@@ -311,14 +311,15 @@ def minimal_polynomial(gb: list[Polynomial], var: int, nvars: int,
     raise AssertionError("no dependence found within staircase dimension")
 
 
-def rational_roots(coeffs: list, meter: _Meter | None = None) -> list[Fraction]:
+def rational_roots(coeffs: list, budgets: Budgets | None = None) -> list[Fraction]:
     """All rational roots of sum(coeffs[i] * x^i), exact.
 
     Uses the rational root theorem after clearing denominators; the zero
     root is reported when the trailing coefficient vanishes.  Every trial
-    divisor counts as one step against the meter, since the search runs
-    up to the square root of the end coefficients.
+    divisor is one step against the budget, since the search runs up to
+    the square root of the end coefficients.
     """
+    meter = _Meter(budgets or Budgets())
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
@@ -345,8 +346,7 @@ def rational_roots(coeffs: list, meter: _Meter | None = None) -> list[Fraction]:
         out = []
         d = 1
         while d * d <= v:
-            if meter is not None:
-                meter.tick()
+            meter.tick()
             if v % d == 0:
                 out.append(d)
                 if d != v // d:
@@ -370,13 +370,13 @@ def rational_roots(coeffs: list, meter: _Meter | None = None) -> list[Fraction]:
 
 
 def binary_form_rational_zeros(poly: Polynomial, u: int, v: int,
-                               meter: _Meter | None = None) -> list[tuple]:
+                               budgets: Budgets | None = None) -> list[tuple]:
     """Nontrivial rational zeros (up to scaling) of a form in x_u, x_v.
 
     The polynomial must involve only those two variables and be homogeneous
     in them; returns representative (value_u, value_v) pairs, one per
     projective root, empty when the form is anisotropic over Q.  The
-    root search charges `meter` as `rational_roots` does.
+    root search is charged to `budgets` as in `rational_roots`.
     """
     degs = set()
     for e, c in poly.terms.items():
@@ -396,6 +396,6 @@ def binary_form_rational_zeros(poly: Polynomial, u: int, v: int,
         zeros.append((Fraction(0), Fraction(1)))
     # every other zero has x_u nonzero: dehomogenize t = x_v / x_u,
     # so t = 0 covers the (1 : 0) point
-    for root in rational_roots(coeff, meter):
+    for root in rational_roots(coeff, budgets):
         zeros.append((Fraction(1), root))
     return zeros

@@ -13,7 +13,8 @@ interesting question is whether anything else does.
 
 1. substitute pinned and forced-zero unknowns, repeatedly;
 2. linear constraints: row reduce, variables with no freedom are zero;
-3. single-variable constraints: a pure power u^e = 0 forces u = 0;
+3. single-variable constraints: a pure power u^e = 0 forces u = 0
+   (weighted homogeneity makes every one-unknown constraint a pure power);
 4. once steps 1-3 stop forcing anything, the Macaulay rung (Macaulay
    1916; Lazard 1983).  The unknowns of source generator c_i get weight
    i, which makes every constraint weighted-homogeneous of its relation
@@ -25,14 +26,12 @@ interesting question is whether anything else does.
    maximal minor over Z, so the proof is exact.  The rung is skipped
    when fewer constraints than unknowns are live, an unknown occurs in
    none of them, or the identity pattern solves the system (a nonzero
-   solution exists), and it gives way to
-   the steps below past the Macaulay degree bound or
-   `_MACAULAY_CELL_CAP` matrix entries; its rows count against the step
-   budget;
-5. single-variable constraints with only rational root 0 force the
-   variable, and a two-variable form with no nontrivial rational zero
-   kills both variables (both recorded as rational-only, since they may
-   still vanish over the closure);
+   solution exists), and it gives way to the steps below past the
+   Macaulay degree bound or `_MACAULAY_CELL_CAP` matrix entries; its
+   rows count against the step budget;
+5. a two-variable form with no nontrivial rational zero kills both
+   variables (recorded as rational-only, since they may still vanish
+   over the closure);
 6. Groebner basis of what is left; when zero-dimensional, the rational
    points are enumerated exactly through per-variable minimal
    polynomials and checked against every constraint;
@@ -63,14 +62,19 @@ from .cache import RingCache, get_table
 from .groebner import (
     BudgetExceeded,
     Budgets,
-    _Meter,
     binary_form_rational_zeros,
     buchberger,
     is_zero_dimensional,
     minimal_polynomial,
     rational_roots,
 )
-from .linalg import clear_denominators, integer_rref, normalize_row, rank_mod_prime
+from .linalg import (
+    _DENSE_PRIME,
+    clear_denominators,
+    integer_rref,
+    normalize_row,
+    rank_mod_prime,
+)
 from .maps import GradedHom, check_well_defined, compose, compose_alpha_beta, hom_to_dict
 from .polynomials import Polynomial, mono_degree, mono_mul
 from .rings import RingSpec, generator_element, grassmann_relations
@@ -81,9 +85,8 @@ CERT_SCHEMA = "grasscohom.rigidity-certificate/1"
 _GRID_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                 Fraction(-2), Fraction(1, 2), Fraction(-1, 2))
 _GRID_CAP = 200_000
-# the Macaulay rung: ranks mod this prime, and matrix entries (rows times
-# columns) before it gives way to the rest of the ladder
-_MACAULAY_PRIME = (1 << 31) - 1
+# matrix entries (rows times columns) before the Macaulay rung gives way
+# to the rest of the ladder
 _MACAULAY_CELL_CAP = 1 << 20
 
 
@@ -360,7 +363,8 @@ def _identity_solution(system: HomSystem) -> list[Fraction] | None:
 
 
 def macaulay_degrees(polys: list[Polynomial], weights: tuple[int, ...],
-                     meter: _Meter) -> tuple[int, list[tuple[int, int, int, int]]] | None:
+                     budgets: Budgets | None = None
+                     ) -> tuple[int, list[tuple[int, int, int, int]]] | None:
     """Prove that polys have no common zero but 0 over the algebraic closure.
 
     Variable v has weight weights[v] and every poly must be homogeneous
@@ -370,16 +374,19 @@ def macaulay_degrees(polys: list[Polynomial], weights: tuple[int, ...],
     weight D in the ideal.  If that holds for w = max(weights)
     consecutive degrees D0..D0+w-1, every monomial of weight >= D0 lies
     in the ideal (strip a variable and induct), so the variety is the
-    origin.  Ranks are taken mod p after clearing each row's
-    denominators: full column rank mod p gives a nonzero maximal minor
-    over Z, hence full rank over Q and over every extension.
+    origin.  Ranks are taken mod `rank_mod_prime`'s default prime p after
+    clearing each row's denominators: full column rank mod p gives a
+    nonzero maximal minor over Z, hence full rank over Q and over every
+    extension.
 
     Returns (D0, [(D, rows, columns, rank) for every degree tried]), or
     None when there are fewer polys than variables, a variable occurs in
     no poly, D passes the Macaulay bound (the sum of the len(weights)
     largest degrees minus the weight sum, plus w) or a matrix passes
-    `_MACAULAY_CELL_CAP` entries.  Each matrix row is one meter step.
+    `_MACAULAY_CELL_CAP` entries.  Each matrix row is one step against
+    the budget; running out raises BudgetExceeded.
     """
+    max_steps = (budgets or Budgets()).max_steps
     by_degree: dict[int, list[dict]] = {}
     seen: set[tuple] = set()
     for p in polys:
@@ -415,7 +422,7 @@ def macaulay_degrees(polys: list[Polynomial], weights: tuple[int, ...],
                      for rest in monomials(first + 1, total - e * w))
 
     tried: list[tuple[int, int, int, int]] = []
-    run = 0
+    run = spent = 0
     # a regular sequence is certified from last - top + 1 on, which can lie
     # below every constraint degree: a weight no monomial has is vacuously full
     for degree in range(max(1, min(degrees[0], last - top + 1)), last + 1):
@@ -424,12 +431,14 @@ def macaulay_degrees(polys: list[Polynomial], weights: tuple[int, ...],
                     for d, rows in by_degree.items() if d <= degree)
         if nrows * ncols > _MACAULAY_CELL_CAP:
             return None
-        meter.tick(nrows)
+        spent += nrows
+        if spent > max_steps:
+            raise BudgetExceeded("step budget exhausted")
         column = {m: j for j, m in enumerate(monomials(0, degree))}
         matrix = [{column[mono_mul(t, e)]: c for e, c in row.items()}
                   for d, rows in by_degree.items() if d <= degree
                   for t in monomials(0, degree - d) for row in rows]
-        rank = rank_mod_prime(matrix, ncols, _MACAULAY_PRIME, stop=ncols)
+        rank = rank_mod_prime(matrix, ncols, stop=ncols)
         tried.append((degree, nrows, ncols, rank))
         run = run + 1 if rank == ncols else 0
         if run == top:
@@ -438,18 +447,18 @@ def macaulay_degrees(polys: list[Polynomial], weights: tuple[int, ...],
 
 
 def _macaulay_step(system: HomSystem, live: list[Polynomial],
-                   remaining: list[int], meter: _Meter) -> str | None:
+                   remaining: list[int], budgets: Budgets) -> str | None:
     """The Macaulay rung on the live constraints in the remaining unknowns,
     each weighted by its generator degree: the step text when it proves
     zero the only solution over the algebraic closure, else None."""
     var_map = {old: new for new, old in enumerate(remaining)}
     weights = tuple(system.unknowns[v].generator for v in remaining)
     proof = macaulay_degrees([_project(p, var_map, len(remaining)) for p in live],
-                             weights, meter)
+                             weights, budgets)
     if proof is None:
         return None
     start, tried = proof
-    return ("Macaulay matrices mod " + str(_MACAULAY_PRIME) + ", weights "
+    return ("Macaulay matrices mod " + str(_DENSE_PRIME) + ", weights "
             + ", ".join(f"{system.unknowns[v].name}:{w}"
                         for v, w in zip(remaining, weights))
             + "; " + "; ".join(f"degree {d}: {r}x{c} rank {k}"
@@ -485,7 +494,6 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
         return OnlyTrivial(True, tuple(steps))
 
     closure_ok = True
-    stashed_roots: dict[int, set[Fraction]] = {}
     identity = _identity_solution(system)
     # rational-only moves wait until the Macaulay rung has had its one try
     rung_tried = False
@@ -507,46 +515,29 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
                 forced |= hits
                 progressed = True
 
+        # a weighted-homogeneous constraint in one unknown is a pure power
         for p in live:
             support = _support(p)
-            if len(support) != 1 or support[0] in forced:
-                continue
-            pure = len(p.terms) == 1
-            if not (pure or rung_tried):
+            if len(support) != 1 or len(p.terms) != 1 or support[0] in forced:
                 continue
             var = support[0]
-            degree = p.max_degree()
-            coeffs = [Fraction(0)] * (degree + 1)
-            for e, c in p.terms.items():
-                coeffs[e[var]] += Fraction(c)
-            try:
-                roots = rational_roots(coeffs, _Meter(budgets))
-            except BudgetExceeded as failure:
-                return aborted("rational-root search", failure)
-            if roots == [Fraction(0)]:
-                closure_ok = closure_ok and pure
-                note = "" if pure else " (rational-only)"
-                steps.append(f"{render(p)} = 0 forces {names[var]} = 0{note}")
-                forced.add(var)
-                progressed = True
-            else:
-                stashed_roots.setdefault(var, set()).update(roots)
+            steps.append(f"{render(p)} = 0 forces {names[var]} = 0")
+            forced.add(var)
+            progressed = True
 
         if progressed:
             continue
 
         if not rung_tried:
-            # every move so far holds over the algebraic closure
             rung_tried = True
             try:
                 proof = (None if identity is not None else
-                         _macaulay_step(system, live, remaining, _Meter(budgets)))
+                         _macaulay_step(system, live, remaining, budgets))
             except BudgetExceeded as failure:
                 return aborted("Macaulay rung", failure)
             if proof is not None:
                 steps.append(proof)
-                return OnlyTrivial(True, tuple(steps))
-            continue
+                return OnlyTrivial(closure_ok, tuple(steps))
 
         for p in live:
             support = _support(p)
@@ -554,7 +545,7 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
                 continue
             try:
                 zeros = binary_form_rational_zeros(p, support[0], support[1],
-                                                   _Meter(budgets))
+                                                   budgets)
             except ValueError:
                 continue
             except BudgetExceeded as failure:
@@ -606,7 +597,7 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
         try:
             minpolys = [minimal_polynomial(gb, v, len(remaining), budgets)
                         for v in range(len(remaining))]
-            roots = [rational_roots(mp, _Meter(budgets)) for mp in minpolys]
+            roots = [rational_roots(mp, budgets) for mp in minpolys]
         except BudgetExceeded as failure:
             return aborted("minimal-polynomial stage", failure)
         pure = all(all(c == 0 for c in mp[:-1]) for mp in minpolys)
@@ -641,20 +632,13 @@ def solve_system(system: HomSystem, budgets: Budgets | None = None,
 
     steps.append("solution set may have positive dimension; "
                  "searching for a rational witness")
-    candidates: list[list[Fraction]] = []
-    for v in remaining:
-        values = list(_GRID_VALUES)
-        for extra in sorted(stashed_roots.get(v, ())):
-            if extra not in values:
-                values.append(extra)
-        candidates.append(values)
 
     if identity is not None:
         steps.append("identity pattern solves the system")
         return _verified_witness(system, identity, steps, cache)
 
     tested = 0
-    for combo in itertools.product(*candidates):
+    for combo in itertools.product(_GRID_VALUES, repeat=len(remaining)):
         if not any(combo):
             continue
         tested += 1

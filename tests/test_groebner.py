@@ -55,23 +55,23 @@ def test_rational_roots_rejects_zero_polynomial():
         rational_roots([0, 0])
 
 
-def test_rational_roots_meter_counts_trial_divisors():
-    # x^2 - 36: divisors of 36 tried up to 6, of 1 up to 1
-    meter = _Meter(Budgets())
-    assert rational_roots([-36, 0, 1], meter) == [Fraction(-6), Fraction(6)]
-    assert meter.steps == 6 + 1
-    # a huge trailing coefficient runs into the budget instead of trying
-    # every divisor up to its square root
-    meter = _Meter(Budgets(max_steps=1000))
+def test_rational_roots_charges_each_trial_divisor():
+    # x^2 - 36: divisors of 1 tried up to 1, of 36 up to 6
+    assert rational_roots([-36, 0, 1], Budgets(max_steps=7)) == [Fraction(-6), Fraction(6)]
     with pytest.raises(BudgetExceeded):
-        rational_roots([10 ** 29 + 7, 0, 1], meter)
-    assert meter.steps == 1001
+        rational_roots([-36, 0, 1], Budgets(max_steps=6))
+    # a huge trailing coefficient runs into the budget instead of trying
+    # every divisor up to its square root, also under the default budget
+    with pytest.raises(BudgetExceeded):
+        rational_roots([10 ** 29 + 7, 0, 1], Budgets(max_steps=1000))
+    with pytest.raises(BudgetExceeded):
+        rational_roots([10 ** 29 + 7, 0, 1])
 
 
 def test_binary_form_charges_its_root_search():
-    meter = _Meter(Budgets(max_steps=50))
     with pytest.raises(BudgetExceeded):
-        binary_form_rational_zeros(P("c1^2 + 10000000019*c2^2", 2), 0, 1, meter)
+        binary_form_rational_zeros(P("c1^2 + 10000000019*c2^2", 2), 0, 1,
+                                   Budgets(max_steps=50))
 
 
 # -- binary forms -------------------------------------------------------
